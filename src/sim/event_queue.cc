@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <memory>
+
 #include "sim/logging.hh"
 
 namespace shrimp
@@ -21,20 +23,24 @@ Event::~Event()
 
 EventQueue::~EventQueue()
 {
-    // Reclaim one-shot events that never fired. Embedded events have
-    // either fired or cancelled themselves via ~Event(); their heap
-    // entries may dangle, so the heap itself is not walked.
-    for (Event *ev : _liveOneShots) {
-        ev->_scheduled = false;     // bypass the dtor's queue access
-        ev->_queue = nullptr;
-        // The queue owns unfired one-shots (autoDelete() contract).
-        // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-        delete ev;
+    // Reclaim one-shots that never fired; each is owned by its single
+    // heap entry. Never dereference a non-owned entry's event: it has
+    // fired, been cancelled or died via ~Event(), and may dangle.
+    for (; !_queue.empty(); _queue.pop()) {
+        if (_queue.top().owned)
+            // NOLINTNEXTLINE(shrimp-ownership-raw-new): entry-owned one-shot
+            delete _queue.top().ev;
     }
 }
 
 void
 EventQueue::schedule(Event *ev, Tick when, int priority)
+{
+    insert(ev, when, priority, false);
+}
+
+void
+EventQueue::insert(Event *ev, Tick when, int priority, bool owned)
 {
     SHRIMP_ASSERT(ev != nullptr, "null event");
     SHRIMP_ASSERT(!ev->_scheduled,
@@ -47,10 +53,9 @@ EventQueue::schedule(Event *ev, Tick when, int priority)
     ev->_stamp = _nextStamp++;
     ev->_scheduled = true;
     ev->_queue = this;
-    _queue.push(QueueEntry{when, priority, _nextSeq++, ev->_stamp, ev});
+    _queue.push(
+        QueueEntry{when, priority, owned, _nextSeq++, ev->_stamp, ev});
     ++_liveCount;
-    if (ev->autoDelete())
-        _liveOneShots.push_back(ev);
 }
 
 void
@@ -65,12 +70,6 @@ EventQueue::deschedule(Event *ev)
     ev->_stamp = 0;
     ev->_scheduled = false;
     --_liveCount;
-    if (ev->autoDelete()) {
-        forgetOneShot(ev);
-        // autoDelete() hands cancelled one-shots to the queue.
-        // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-        delete ev;
-    }
 }
 
 void
@@ -85,18 +84,11 @@ void
 EventQueue::scheduleFn(std::function<void()> fn, Tick when, int priority,
                        const char *desc)
 {
-    // Wrapper that deletes itself after firing.
-    class OneShot : public EventFunctionWrapper
-    {
-      public:
-        using EventFunctionWrapper::EventFunctionWrapper;
-        bool autoDelete() const override { return true; }
-    };
-
-    // Ownership passes to the queue, which reclaims the event when
-    // it fires (autoDelete() contract).
-    // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-    schedule(new OneShot(std::move(fn), desc), when, priority);
+    auto ev = std::make_unique<EventFunctionWrapper>(std::move(fn), desc);
+    insert(ev.get(), when, priority, true);
+    // insert() passed its checks: the entry owns the event from here on,
+    // and runOne() or ~EventQueue() frees it.
+    static_cast<void>(ev.release());
 }
 
 void
@@ -128,30 +120,12 @@ EventQueue::runOne()
     --_liveCount;
     ++_numProcessed;
 
-    bool auto_delete = ev->autoDelete();
+    // An embedded `ev` may reschedule itself inside process(); an owned
+    // one-shot cannot (no caller holds it) and is freed afterwards, also
+    // when process() throws.
+    std::unique_ptr<Event> one_shot(entry.owned ? ev : nullptr);
     ev->process();
-    // `ev` may have rescheduled itself inside process(); only reclaim
-    // one-shot events, which by contract never reschedule.
-    if (auto_delete) {
-        forgetOneShot(ev);
-        // Fired one-shots are queue-owned (autoDelete() contract).
-        // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-        delete ev;
-    }
     return true;
-}
-
-void
-EventQueue::forgetOneShot(Event *ev)
-{
-    for (auto it = _liveOneShots.begin(); it != _liveOneShots.end();
-         ++it) {
-        if (*it == ev) {
-            *it = _liveOneShots.back();
-            _liveOneShots.pop_back();
-            return;
-        }
-    }
 }
 
 std::uint64_t

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hh"
@@ -43,12 +44,6 @@ class Event
 
     /** Human-readable description for traces. */
     virtual const char *description() const { return "generic event"; }
-
-    /**
-     * Whether the event queue should delete this event after it fires or
-     * is descheduled. Used by one-shot heap-allocated events.
-     */
-    virtual bool autoDelete() const { return false; }
 
     bool scheduled() const { return _scheduled; }
     Tick when() const { return _when; }
@@ -128,8 +123,9 @@ class EventQueue
                     int priority = EventPriority::DEFAULT);
 
     /**
-     * Schedule a one-shot callback; the wrapper event is heap-allocated
-     * and deleted after it fires.
+     * Schedule a one-shot callback. Its heap-allocated wrapper is owned
+     * by its queue entry: deleted after it fires, or by ~EventQueue()
+     * if it never does. Nothing can deschedule it.
      */
     void scheduleFn(std::function<void()> fn, Tick when,
                     int priority = EventPriority::DEFAULT,
@@ -165,10 +161,13 @@ class EventQueue
     {
         Tick when;
         int priority;
+        bool owned;             //!< entry owns ev (scheduleFn one-shot)
         std::uint64_t seq;      //!< global insertion order (FIFO tiebreak)
         std::uint64_t stamp;    //!< must match ev->_stamp to be live
         Event *ev;
     };
+    // Heap sifts copy entries millions of times; keep them plain data.
+    static_assert(std::is_trivially_copyable_v<QueueEntry>);
 
     struct EntryCompare
     {
@@ -191,12 +190,11 @@ class EventQueue
     /** An embedded event died while scheduled (component teardown). */
     void noteDead() { --_liveCount; }
 
-    /** Remove @p ev from the live one-shot registry. */
-    void forgetOneShot(Event *ev);
+    /** schedule()'s checks and heap push; @p owned as in QueueEntry. */
+    void insert(Event *ev, Tick when, int priority, bool owned);
 
     std::priority_queue<QueueEntry, std::vector<QueueEntry>, EntryCompare>
         _queue;
-    std::vector<Event *> _liveOneShots;  //!< auto-delete events pending
     trace::Tracer *_tracer = nullptr;
     Tick _curTick = 0;
     std::uint64_t _nextSeq = 0;

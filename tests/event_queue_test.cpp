@@ -135,6 +135,8 @@ TEST(EventQueue, SchedulingInPastPanics)
     eq.run();
     EventFunctionWrapper ev([] {}, "late");
     EXPECT_THROW(eq.schedule(&ev, 50), std::logic_error);
+    EXPECT_THROW(eq.scheduleFn([] {}, 50), std::logic_error);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, DoubleSchedulePanics)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "core/system.hh"
@@ -157,12 +158,26 @@ TEST(EventQueueExtra, OneShotFiresExactlyOnce)
 
 TEST(EventQueueExtra, TeardownWithPendingOneShots)
 {
-    // One-shots never fired are reclaimed by the queue's destructor.
+    // One-shots never fired are reclaimed by the queue's destructor:
+    // each holds a copy of `token`, so freeing them all drops its use
+    // count back to 1 (no sanitizer needed to see a leak).
+    auto token = std::make_shared<int>(0);
     auto eq = std::make_unique<EventQueue>();
     for (int i = 0; i < 16; ++i)
-        eq->scheduleFn([] {}, 1000 + i);
+        eq->scheduleFn([token] {}, 1000 + i);
+
+    // An embedded event destroyed while still scheduled leaves a
+    // dangling heap entry; the destructor must not dereference it
+    // (ASan turns a regression into a failure).
+    auto embedded = std::make_unique<EventFunctionWrapper>([] {}, "gone");
+    eq->schedule(embedded.get(), 500);
+    EXPECT_EQ(eq->size(), 17u);
+    embedded.reset();
     EXPECT_EQ(eq->size(), 16u);
-    eq.reset();     // must not leak or crash
+    EXPECT_EQ(token.use_count(), 17);
+
+    eq.reset();
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 } // namespace

@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate, in three stages:
+# CI gate, in six stages:
 #
 #   --lint   shrimp_lint (project invariants) + fixture self-test +
 #            clang-tidy (generic hygiene, .clang-tidy) over the

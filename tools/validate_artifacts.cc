@@ -388,6 +388,7 @@ main(int argc, char **argv)
 
     for (int i = 2; i < argc; ++i) {
         std::string path = argv[i];
+        int before = g_errors;
         std::string text;
         if (!readFile(path, text)) {
             fail(path, "cannot read");
@@ -414,7 +415,7 @@ main(int argc, char **argv)
             validatePartition(path, root);
         else
             validateStats(path, root);
-        if (g_errors == 0)
+        if (g_errors == before)
             std::printf("%s: ok\n", path.c_str());
     }
     return g_errors ? 1 : 0;
