@@ -645,7 +645,7 @@ Dsm::postMsgRpc(NodeId dst)
     rpc.onResponse = [this, dst, gen](const std::uint32_t *resp) {
         msgAcked(dst, gen, resp);
     };
-    _kernel.mapManager().postRpc(dst, std::move(rpc));
+    _kernel.mapManager().sendRpc(dst, std::move(rpc));
 }
 
 void

@@ -1,5 +1,7 @@
 #include "os/map_manager.hh"
 
+#include <algorithm>
+
 #include "os/kernel.hh"
 #include "sim/logging.hh"
 
@@ -398,47 +400,74 @@ MapManager::recordInDirect(const InRecord &rec, PageNum frame,
 }
 
 // ---------------------------------------------------------------------
-// map()/unmap() protocol (source side)
+// map()/unmap()/remap protocol (source side)
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-/** Per-syscall protocol state, heap-held across RPC round trips. */
-struct MapOp
-{
-    Process *proc;
-    MapArgs args;
-    std::size_t page = 0;
-    std::function<void(std::uint64_t)> done;
-};
+using OutRecord = MapManager::OutRecord;
 
-/**
- * The per-page chains below are closures that own themselves through
- * next_fn (they must outlive the start call's frame to serve RPC
- * responses). When an op completes, that reference cycle must be
- * broken or the op state leaks -- deferred one event, because the
- * closure being cleared may still be on the call stack here.
- */
-void
-breakChain(EventQueue &eq,
-           std::shared_ptr<std::function<void()>> next_fn)
+/** The whole-page record for page @p i of a MAP/UNMAP. */
+OutRecord
+pageTarget(const Process &proc, const MapArgs &args, std::size_t i)
 {
-    eq.scheduleFn([next_fn] { *next_fn = nullptr; }, eq.curTick(),
-                  EventPriority::DEFAULT, "map-op cleanup");
+    OutRecord t;
+    t.pid = proc.pid();
+    t.vpage = pageOf(args.localVaddr) + i;
+    t.dstNode = args.dstNode;
+    t.dstPid = args.dstPid;
+    t.dstVpage = pageOf(args.dstVaddr) + i;
+    t.mode = static_cast<UpdateMode>(args.mode);
+    t.flags = args.flags;
+    return t;
 }
 
-/** Break the op's chain cycle and report its result. */
-void
-finishOp(EventQueue &eq, const std::shared_ptr<MapOp> &op,
-         const std::shared_ptr<std::function<void()>> &next_fn,
-         std::uint64_t code)
+/** First record with @p key's source and destination pages (and, if
+ *  @p same_half, its halfBegin), or out.end(). */
+std::vector<OutRecord>::iterator
+findOut(std::vector<OutRecord> &out, const OutRecord &key,
+        bool same_half)
 {
-    breakChain(eq, next_fn);
-    op->done(code);
+    return std::find_if(out.begin(), out.end(), [&](const OutRecord &r) {
+        return r.pid == key.pid && r.vpage == key.vpage &&
+               r.dstNode == key.dstNode && r.dstPid == key.dstPid &&
+               r.dstVpage == key.dstVpage &&
+               (!same_half || r.halfBegin == key.halfBegin);
+    });
 }
 
 } // namespace
+
+/**
+ * One MAP, UNMAP or REMAP in progress. Each target is one mapping
+ * half: the record to install (MAP), or the key of the record to
+ * remove (UNMAP) or re-establish (REMAP). The op is owned by the
+ * onResponse of its one pending RPC, so it is freed when its last RPC
+ * completes or resetPeer dooms it.
+ */
+struct MapManager::Op
+{
+    enum class Kind { MAP, UNMAP, REMAP };
+
+    Process *proc = nullptr;
+    Kind kind = Kind::MAP;
+    MapArgs args;                   //!< MAP/UNMAP: one target per page
+    std::vector<OutRecord> halves;  //!< REMAP: one target per half
+    std::size_t next = 0;
+    std::function<void(std::uint64_t)> done;
+
+    std::size_t size() const
+    {
+        return kind == Kind::REMAP ? halves.size() : args.npages;
+    }
+
+    OutRecord target() const
+    {
+        return kind == Kind::REMAP ? halves[next]
+                                   : pageTarget(*proc, args, next);
+    }
+};
 
 void
 MapManager::startMap(Process &proc, const MapArgs &args,
@@ -486,57 +515,9 @@ MapManager::startMap(Process &proc, const MapArgs &args,
         return;
     }
 
-    auto op = std::make_shared<MapOp>();
-    op->proc = &proc;
-    op->args = args;
-    op->done = std::move(done);
-
-    // Per-page RPC chain.
-    auto next_fn = std::make_shared<std::function<void()>>();
-    *next_fn = [this, op, next_fn]() {
-        if (op->page == op->args.npages) {
-            finishOp(_kernel.eventQueue(), op, next_fn, err::OK);
-            return;
-        }
-        std::uint32_t i = static_cast<std::uint32_t>(op->page);
-        KernelRpc rpc;
-        rpc.type = channel::MAP_PAGE;
-        rpc.payload = {op->args.dstPid,
-                       static_cast<std::uint32_t>(
-                           pageOf(op->args.dstVaddr) + i),
-                       op->args.mode, op->args.flags, 0, 0};
-        rpc.onResponse = [this, op, next_fn, i](const std::uint32_t *r) {
-            if (r[0] != err::OK) {
-                finishOp(_kernel.eventQueue(), op, next_fn, r[0]);
-                return;
-            }
-            addWork(_kernel.costs().mapInstallPerPage);
-
-            PageNum vpage = pageOf(op->args.localVaddr) + i;
-            Pte *pte = op->proc->space().pageTable().find(vpage);
-            if (!pte) {
-                finishOp(_kernel.eventQueue(), op, next_fn, err::INVAL);
-                return;
-            }
-            OutRecord rec;
-            rec.pid = op->proc->pid();
-            rec.vpage = vpage;
-            rec.dstNode = op->args.dstNode;
-            rec.dstPid = op->args.dstPid;
-            rec.dstVpage = pageOf(op->args.dstVaddr) + i;
-            rec.dstFrame = r[1];
-            rec.mode = static_cast<UpdateMode>(op->args.mode);
-            rec.flags = op->args.flags;
-            recordOutDirect(rec, pte->frame);
-            // Mapped-out pages are snooped: force write-through.
-            pte->policy = CachePolicy::WRITE_THROUGH;
-
-            op->page++;
-            (*next_fn)();
-        };
-        sendRpc(op->args.dstNode, std::move(rpc));
-    };
-    (*next_fn)();
+    step(std::make_shared<Op>(
+             Op{&proc, Op::Kind::MAP, args, {}, 0, std::move(done)}),
+         nullptr);
 }
 
 void
@@ -548,60 +529,86 @@ MapManager::startUnmap(Process &proc, const MapArgs &args,
         done(err::HOSTDOWN);
         return;
     }
+    step(std::make_shared<Op>(
+             Op{&proc, Op::Kind::UNMAP, args, {}, 0, std::move(done)}),
+         nullptr);
+}
 
-    auto op = std::make_shared<MapOp>();
-    op->proc = &proc;
-    op->args = args;
-    op->done = std::move(done);
-
-    auto next_fn = std::make_shared<std::function<void()>>();
-    *next_fn = [this, op, next_fn]() {
-        if (op->page == op->args.npages) {
-            finishOp(_kernel.eventQueue(), op, next_fn, err::OK);
+void
+MapManager::step(const std::shared_ptr<Op> &op, const std::uint32_t *resp)
+{
+    if (resp) {
+        // The destination kernel answered for the current target. A
+        // failure ends the op; earlier targets stay done.
+        if (resp[0] != err::OK) {
+            op->done(resp[0]);
             return;
         }
-        std::uint32_t i = static_cast<std::uint32_t>(op->page);
-        PageNum vpage = pageOf(op->args.localVaddr) + i;
-        PageNum dst_vpage = pageOf(op->args.dstVaddr) + i;
-
-        // Find and remove our record first.
-        bool found = false;
-        OutRecord removed;
-        for (auto it = _out.begin(); it != _out.end(); ++it) {
-            if (it->pid == op->proc->pid() && it->vpage == vpage &&
-                it->dstNode == op->args.dstNode &&
-                it->dstPid == op->args.dstPid &&
-                it->dstVpage == dst_vpage) {
-                removed = *it;
-                _out.erase(it);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            finishOp(_kernel.eventQueue(), op, next_fn, err::INVAL);
-            return;
-        }
-        PageNum frame = frameOf(op->proc->pid(), vpage);
-        if (frame != INVALID_PAGE && !removed.invalidated)
-            clearOutHalf(frame, removed);
-        addWork(_kernel.costs().mapInstallPerPage);
-
-        KernelRpc rpc;
-        rpc.type = channel::UNMAP_PAGE;
-        rpc.payload = {op->args.dstPid,
-                       static_cast<std::uint32_t>(dst_vpage), 0, 0, 0, 0};
-        rpc.onResponse = [this, op, next_fn](const std::uint32_t *r) {
-            if (r[0] != err::OK) {
-                finishOp(_kernel.eventQueue(), op, next_fn, r[0]);
+        OutRecord t = op->target();
+        if (op->kind == Op::Kind::MAP) {
+            addWork(_kernel.costs().mapInstallPerPage);
+            Pte *pte = op->proc->space().pageTable().find(t.vpage);
+            if (!pte) {
+                op->done(err::INVAL);
                 return;
             }
-            op->page++;
-            (*next_fn)();
-        };
-        sendRpc(op->args.dstNode, std::move(rpc));
-    };
-    (*next_fn)();
+            t.dstFrame = resp[1];
+            recordOutDirect(t, pte->frame);
+            // Mapped-out pages are snooped: force write-through.
+            pte->policy = CachePolicy::WRITE_THROUGH;
+        } else if (op->kind == Op::Kind::REMAP) {
+            // Records may have come and gone during the round trip;
+            // find ours by key.
+            auto it = findOut(_out, t, true);
+            if (it == _out.end()) {
+                op->done(err::INVAL);
+                return;
+            }
+            it->dstFrame = resp[1];
+            it->invalidated = false;
+            PageNum frame = frameOf(it->pid, it->vpage);
+            SHRIMP_ASSERT(frame != INVALID_PAGE,
+                          "remap of a non-resident source page");
+            installOutHalf(frame, *it);
+            addWork(_kernel.costs().mapInstallPerPage);
+        }
+        ++op->next;
+    }
+
+    if (op->next == op->size()) {
+        if (op->kind == Op::Kind::REMAP) {
+            // All halves re-established: restore write permission.
+            op->proc->space().pageTable().setWritable(
+                op->halves.front().vpage, true);
+            ++_remaps;
+        }
+        op->done(err::OK);
+        return;
+    }
+
+    OutRecord t = op->target();
+    KernelRpc rpc;
+    rpc.type = channel::MAP_PAGE;
+    rpc.payload = {t.dstPid, static_cast<std::uint32_t>(t.dstVpage),
+                   static_cast<std::uint32_t>(t.mode), t.flags, 0, 0};
+    if (op->kind == Op::Kind::UNMAP) {
+        // Remove our record first.
+        auto it = findOut(_out, t, false);
+        if (it == _out.end()) {
+            op->done(err::INVAL);
+            return;
+        }
+        PageNum frame = frameOf(it->pid, it->vpage);
+        if (frame != INVALID_PAGE && !it->invalidated)
+            clearOutHalf(frame, *it);
+        _out.erase(it);
+        addWork(_kernel.costs().mapInstallPerPage);
+        rpc.type = channel::UNMAP_PAGE;
+        rpc.payload[2] = 0;
+        rpc.payload[3] = 0;
+    }
+    rpc.onResponse = [this, op](const std::uint32_t *r) { step(op, r); };
+    sendRpc(t.dstNode, std::move(rpc));
 }
 
 // ---------------------------------------------------------------------
@@ -656,67 +663,23 @@ void
 MapManager::startRemap(Process &proc, PageNum vpage,
                        std::function<void(std::uint64_t)> done)
 {
-    // Collect indexes of invalidated records for this page.
-    auto targets = std::make_shared<std::vector<std::size_t>>();
-    for (std::size_t i = 0; i < _out.size(); ++i) {
-        if (_out[i].pid == proc.pid() && _out[i].vpage == vpage &&
-            _out[i].invalidated) {
-            targets->push_back(i);
+    std::vector<OutRecord> halves;
+    for (const OutRecord &rec : _out) {
+        if (rec.pid == proc.pid() && rec.vpage == vpage &&
+            rec.invalidated) {
+            halves.push_back(rec);
         }
     }
-    SHRIMP_ASSERT(!targets->empty(), "remap with nothing to do");
+    SHRIMP_ASSERT(!halves.empty(), "remap with nothing to do");
 
-    if (_kernel.peerFailed(_out[targets->front()].dstNode)) {
+    if (_kernel.peerFailed(halves.front().dstNode)) {
         done(err::HOSTDOWN);
         return;
     }
 
-    auto pos = std::make_shared<std::size_t>(0);
-    auto done_fn = std::make_shared<std::function<void(std::uint64_t)>>(
-        std::move(done));
-    auto proc_ptr = &proc;
-
-    auto next_fn = std::make_shared<std::function<void()>>();
-    *next_fn = [this, targets, pos, done_fn, next_fn, proc_ptr,
-                vpage]() {
-        if (*pos == targets->size()) {
-            // All halves re-established: restore write permission.
-            proc_ptr->space().pageTable().setWritable(vpage, true);
-            ++_remaps;
-            breakChain(_kernel.eventQueue(), next_fn);
-            (*done_fn)(err::OK);
-            return;
-        }
-        std::size_t idx = (*targets)[*pos];
-        const OutRecord &rec = _out[idx];
-        KernelRpc rpc;
-        rpc.type = channel::MAP_PAGE;
-        rpc.payload = {rec.dstPid,
-                       static_cast<std::uint32_t>(rec.dstVpage),
-                       static_cast<std::uint32_t>(rec.mode), rec.flags,
-                       0, 0};
-        NodeId peer = rec.dstNode;
-        rpc.onResponse = [this, idx, pos, done_fn, next_fn, proc_ptr,
-                          vpage](const std::uint32_t *r) {
-            if (r[0] != err::OK) {
-                breakChain(_kernel.eventQueue(), next_fn);
-                (*done_fn)(r[0]);
-                return;
-            }
-            OutRecord &rec2 = _out[idx];
-            rec2.dstFrame = r[1];
-            rec2.invalidated = false;
-            PageNum frame = frameOf(rec2.pid, rec2.vpage);
-            SHRIMP_ASSERT(frame != INVALID_PAGE,
-                          "remap of a non-resident source page");
-            installOutHalf(frame, rec2);
-            addWork(_kernel.costs().mapInstallPerPage);
-            ++*pos;
-            (*next_fn)();
-        };
-        sendRpc(peer, std::move(rpc));
-    };
-    (*next_fn)();
+    step(std::make_shared<Op>(Op{&proc, Op::Kind::REMAP, {},
+                                 std::move(halves), 0, std::move(done)}),
+         nullptr);
 }
 
 // ---------------------------------------------------------------------

@@ -234,10 +234,7 @@ class MapManager
 
     /** Queue an RPC on the shared kernel channel toward @p peer (the
      *  DSM service rides the same ordered, retransmitted path). */
-    void postRpc(NodeId peer, KernelRpc rpc)
-    {
-        sendRpc(peer, std::move(rpc));
-    }
+    void sendRpc(NodeId peer, KernelRpc rpc);
 
     const std::vector<OutRecord> &outRecords() const { return _out; }
     const std::vector<InRecord> *inRecords(PageNum frame) const;
@@ -260,7 +257,16 @@ class MapManager
         std::uint32_t lastRespSeen = 0;
     };
 
-    void sendRpc(NodeId peer, KernelRpc rpc);
+    /** One map, unmap or remap in progress (defined in the .cc). */
+    struct Op;
+
+    /**
+     * Advance @p op: finish the local work of the target whose RPC
+     * response is @p resp (nullptr on the first step), then prepare
+     * the next target and send its RPC, or report the op's result.
+     */
+    void step(const std::shared_ptr<Op> &op, const std::uint32_t *resp);
+
     void transmit(NodeId peer, PeerState &state);
 
     /** Stamp (incarnation, view-of-peer) into payload words [4],[5]

@@ -171,6 +171,85 @@ TEST_F(ConsistencyFixture, InvalidateShootdownAndFaultDrivenRemap)
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 4), 0x2222u);
 }
 
+TEST_F(ConsistencyFixture, RemapSurvivesUnmapOfEarlierRecord)
+{
+    // While A's remap is waiting for its MAP_PAGE response, an unmap
+    // removes an outgoing record created before A's. The remap must
+    // still find and reinstall A's own record, not whichever record
+    // now sits where A's used to.
+    build(ConsistencyPolicy::INVALIDATE);
+    Process *procC = sys->kernel(0).createProcess("C");
+    Addr c = procC->allocate(2);
+    Addr src = procA->allocate(1);
+    Addr dst = procB->allocate(1);
+    Addr c_dst = procB->allocate(2);
+    ASSERT_EQ(sys->kernel(0).mapDirect(*procC, c, 1, sys->kernel(1),
+                                       *procB, c_dst,
+                                       UpdateMode::AUTO_SINGLE),
+              err::OK);
+    ASSERT_EQ(sys->kernel(0).mapDirect(*procA, src, 1, sys->kernel(1),
+                                       *procB, dst,
+                                       UpdateMode::AUTO_SINGLE),
+              err::OK);
+    ASSERT_EQ(sys->kernel(0).mapDirect(*procC, c + PAGE_SIZE, 1,
+                                       sys->kernel(1), *procB,
+                                       c_dst + PAGE_SIZE,
+                                       UpdateMode::AUTO_SINGLE),
+              err::OK);
+
+    Program pa("a");
+    pa.movi(R1, src);
+    pa.sti(R1, 0, 0x1111, 4);
+    pa.movi(R2, 0);
+    pa.movi(R3, 20'000);
+    pa.label("delay");
+    pa.addi(R2, 1);
+    pa.cmp(R2, R3);
+    pa.jl("delay");
+    pa.movi(R1, src);
+    pa.sti(R1, 4, 0x2222, 4);   // faults: mapping was invalidated
+    pa.halt();
+    loadProgram(sys->kernel(0), *procA, std::move(pa));
+    Program pb("b");
+    pb.halt();
+    loadProgram(sys->kernel(1), *procB, std::move(pb));
+    Program pc("c");
+    pc.halt();      // an exited process keeps its mappings
+    loadProgram(sys->kernel(0), *procC, std::move(pc));
+
+    sys->eventQueue().scheduleFn(
+        [&] {
+            sys->kernel(1).evictUserPage(*procB, dst, [](bool) {});
+        },
+        100 * ONE_US);
+
+    sys->startAll();
+    for (int i = 0; i < 100'000 && procA->ctx.faults == 0; ++i)
+        sys->runFor(ONE_US);
+    ASSERT_EQ(procA->ctx.faults, 1u);
+    MapManager &mm = sys->kernel(0).mapManager();
+    ASSERT_EQ(mm.remapsCompleted(), 0u);   // MAP_PAGE in flight
+
+    MapArgs args;
+    args.localVaddr = static_cast<std::uint32_t>(c);
+    args.npages = 1;
+    args.dstNode = 1;
+    args.dstPid = procB->pid();
+    args.dstVaddr = static_cast<std::uint32_t>(c_dst);
+    std::uint64_t unmapped = ~std::uint64_t{0};
+    mm.startUnmap(*procC, args,
+                  [&](std::uint64_t st) { unmapped = st; });
+
+    ASSERT_TRUE(sys->runUntilAllExited());
+    sys->runFor(5 * ONE_MS);
+
+    EXPECT_EQ(unmapped, err::OK);
+    EXPECT_EQ(mm.remapsCompleted(), 1u);
+    EXPECT_EQ(procA->ctx.faults, 1u);
+    EXPECT_EQ(peek32(*sys, 1, *procB, dst + 4), 0x2222u);
+    EXPECT_EQ(mm.outRecords().size(), 2u);
+}
+
 TEST_F(ConsistencyFixture, ShootdownReachesMultipleSources)
 {
     // Two different nodes map into the same destination page; the

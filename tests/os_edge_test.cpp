@@ -21,6 +21,21 @@ using test::loadProgram;
 using test::peek32;
 using test::poke32;
 
+/** Arguments of an AUTO_SINGLE map of @p npages pages to node 1. */
+MapArgs
+mapToNode1(Addr src, std::uint32_t npages, const Process &dst_proc,
+           Addr dst)
+{
+    MapArgs args;
+    args.localVaddr = static_cast<std::uint32_t>(src);
+    args.npages = npages;
+    args.dstNode = 1;
+    args.dstPid = dst_proc.pid();
+    args.dstVaddr = static_cast<std::uint32_t>(dst);
+    args.mode = static_cast<std::uint32_t>(UpdateMode::AUTO_SINGLE);
+    return args;
+}
+
 TEST(OsEdge, DoubleMapOfSamePageRefused)
 {
     ShrimpSystem sys(test::twoNodeConfig());
@@ -157,6 +172,50 @@ TEST(OsEdge, UnmapOfNonexistentMappingFails)
     EXPECT_EQ(peek32(sys, 0, *a, out), err::INVAL);
 }
 
+TEST(OsEdge, UnmapWithHugePageCountFailsAtFirstPage)
+{
+    // The page count comes unchecked from user memory; an unmap of
+    // ~4G pages with nothing mapped fails at once, like a 1-page one.
+    ShrimpSystem sys(test::twoNodeConfig());
+    Process *a = sys.kernel(0).createProcess("a");
+    Process *b = sys.kernel(1).createProcess("b");
+    MapManager &mm = sys.kernel(0).mapManager();
+    std::vector<std::uint64_t> results;
+    mm.startUnmap(*a, mapToNode1(a->allocate(1), 0xffff'ffff, *b,
+                                 b->allocate(1)),
+                  [&](std::uint64_t st) { results.push_back(st); });
+    EXPECT_EQ(results, std::vector<std::uint64_t>{err::INVAL});
+    EXPECT_EQ(mm.rpcsSent(), 0u);
+}
+
+TEST(OsEdge, UnmapLooksUpEachPageWhenItsTurnComes)
+{
+    // Page 1 is mapped only after the 3-page unmap has started: the
+    // unmap still removes it, then fails at page 2, which never was.
+    ShrimpSystem sys(test::twoNodeConfig());
+    Process *a = sys.kernel(0).createProcess("a");
+    Process *b = sys.kernel(1).createProcess("b");
+    Addr src = a->allocate(3);
+    Addr dst = b->allocate(3);
+    ASSERT_EQ(sys.kernel(0).mapDirect(*a, src, 1, sys.kernel(1), *b, dst,
+                                      UpdateMode::AUTO_SINGLE),
+              err::OK);
+
+    MapManager &mm = sys.kernel(0).mapManager();
+    std::vector<std::uint64_t> results;
+    mm.startUnmap(*a, mapToNode1(src, 3, *b, dst),
+                  [&](std::uint64_t st) { results.push_back(st); });
+    ASSERT_EQ(sys.kernel(0).mapDirect(*a, src + PAGE_SIZE, 1,
+                                      sys.kernel(1), *b, dst + PAGE_SIZE,
+                                      UpdateMode::AUTO_SINGLE),
+              err::OK);
+    sys.runFor(ONE_MS);
+
+    EXPECT_EQ(results, std::vector<std::uint64_t>{err::INVAL});
+    EXPECT_EQ(mm.rpcsSent(), 2u);
+    EXPECT_TRUE(mm.outRecords().empty());
+}
+
 TEST(OsEdge, RemapAfterUnmapSucceeds)
 {
     // Unmap releases the page's outgoing half, so a fresh map of the
@@ -251,6 +310,74 @@ TEST(OsEdge, ReapedProcessMappingsAreTornDown)
     Translation t = b->space().translate(dst, false);
     EXPECT_FALSE(sys.node(1).ni.nipt().mappedIn(pageOf(t.paddr)));
     EXPECT_FALSE(sys.kernel(1).frames().isPinned(pageOf(t.paddr)));
+}
+
+TEST(OsEdge, MapStopsAtFirstRefusedPage)
+{
+    // The second destination page has no translation: the map fails
+    // with INVAL after two RPCs, and the first page stays mapped.
+    ShrimpSystem sys(test::twoNodeConfig());
+    Process *a = sys.kernel(0).createProcess("a");
+    Process *b = sys.kernel(1).createProcess("b");
+    Addr src = a->allocate(2);
+    Addr dst = b->allocate(1);
+    ASSERT_FALSE(b->space().translate(dst + PAGE_SIZE, false).ok());
+
+    MapManager &mm = sys.kernel(0).mapManager();
+    std::vector<std::uint64_t> results;
+    mm.startMap(*a, mapToNode1(src, 2, *b, dst),
+                [&](std::uint64_t st) { results.push_back(st); });
+    sys.runFor(ONE_MS);
+
+    EXPECT_EQ(results, std::vector<std::uint64_t>{err::INVAL});
+    EXPECT_EQ(mm.rpcsSent(), 2u);
+    ASSERT_EQ(mm.outRecords().size(), 1u);
+    EXPECT_EQ(mm.outRecords()[0].vpage, pageOf(src));
+    PageNum frame = pageOf(a->space().translate(src, false).paddr);
+    EXPECT_TRUE(sys.node(0).ni.nipt().entry(frame).outLow.valid());
+}
+
+TEST(OsEdge, PeerResetEndsInFlightMapOnce)
+{
+    // A reset of the destination's RPC engine dooms the in-flight
+    // MAP_PAGE: done fires once with the reset's errno and the second
+    // page is never requested.
+    ShrimpSystem sys(test::twoNodeConfig());
+    Process *a = sys.kernel(0).createProcess("a");
+    Process *b = sys.kernel(1).createProcess("b");
+    Addr src = a->allocate(2);
+    Addr dst = b->allocate(2);
+
+    MapManager &mm = sys.kernel(0).mapManager();
+    std::vector<std::uint64_t> results;
+    mm.startMap(*a, mapToNode1(src, 2, *b, dst),
+                [&](std::uint64_t st) { results.push_back(st); });
+    ASSERT_EQ(mm.rpcsSent(), 1u);
+    mm.resetPeer(1, err::HOSTDOWN);
+    sys.runFor(ONE_MS);
+
+    EXPECT_EQ(results, std::vector<std::uint64_t>{err::HOSTDOWN});
+    EXPECT_EQ(mm.rpcsSent(), 1u);
+    EXPECT_TRUE(mm.outRecords().empty());
+}
+
+TEST(OsEdge, InFlightMapIsFreedWithTheSystem)
+{
+    // Destroying the machine with a map still waiting for its first
+    // response must free the op and the completion it holds.
+    auto token = std::make_shared<int>(0);
+    {
+        ShrimpSystem sys(test::twoNodeConfig());
+        Process *a = sys.kernel(0).createProcess("a");
+        Process *b = sys.kernel(1).createProcess("b");
+        Addr src = a->allocate(2);
+        Addr dst = b->allocate(2);
+        sys.kernel(0).mapManager().startMap(
+            *a, mapToNode1(src, 2, *b, dst),
+            [token](std::uint64_t) {});
+        ASSERT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 } // namespace

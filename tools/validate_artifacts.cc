@@ -365,23 +365,43 @@ validatePartition(const std::string &file, const Value &root)
         return fail(file, "no Partition results");
 }
 
+/** Every mode: its name on the command line and its validator. */
+struct Mode
+{
+    const char *name;
+    void (*validate)(const std::string &file, const Value &root);
+};
+
+constexpr Mode modes[] = {
+    {"trace", validateTrace},
+    {"bench", validateBench},
+    {"stats", validateStats},
+    {"chaos", validateChaos},
+    {"overload", validateOverload},
+    {"dsm", validateDsm},
+    {"partition", validatePartition},
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     if (argc < 3) {
-        std::fprintf(
-            stderr,
-            "usage: %s {trace|bench|stats|chaos|overload|dsm|"
-            "partition} FILE...\n",
-            argv[0]);
+        std::string names;
+        for (const Mode &m : modes)
+            names += (names.empty() ? "" : "|") + std::string(m.name);
+        std::fprintf(stderr, "usage: %s {%s} FILE...\n", argv[0],
+                     names.c_str());
         return 2;
     }
     std::string mode = argv[1];
-    if (mode != "trace" && mode != "bench" && mode != "stats" &&
-        mode != "chaos" && mode != "overload" && mode != "dsm" &&
-        mode != "partition") {
+    const Mode *chosen = nullptr;
+    for (const Mode &m : modes) {
+        if (mode == m.name)
+            chosen = &m;
+    }
+    if (!chosen) {
         std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
         return 2;
     }
@@ -401,20 +421,7 @@ main(int argc, char **argv)
             fail(path, std::string("JSON parse error: ") + e.what());
             continue;
         }
-        if (mode == "trace")
-            validateTrace(path, root);
-        else if (mode == "bench")
-            validateBench(path, root);
-        else if (mode == "chaos")
-            validateChaos(path, root);
-        else if (mode == "overload")
-            validateOverload(path, root);
-        else if (mode == "dsm")
-            validateDsm(path, root);
-        else if (mode == "partition")
-            validatePartition(path, root);
-        else
-            validateStats(path, root);
+        chosen->validate(path, root);
         if (g_errors == before)
             std::printf("%s: ok\n", path.c_str());
     }
