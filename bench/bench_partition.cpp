@@ -11,8 +11,8 @@
  *    declares the isolated node DEAD (heartbeat silence crossing the
  *    dead timeout, quorum confirmed);
  *  - time_to_heal_us: heal until every node sees every other ALIVE
- *    again (epoch bumps exchanged, stale views fenced, channels
- *    reset);
+ *    again (heartbeats cross the healed cut, recovered peers' streams
+ *    restart in a newer channel epoch);
  *  - stale_epoch_rejects / ni_stale_drops / fenced_writebacks: the
  *    machine-wide fence accounting over the whole run.
  *
@@ -73,7 +73,6 @@ runPartition(Tick partition_ticks)
     cfg.meshWidth = 2;
     cfg.meshHeight = 2;
     cfg.ni.reliability.enabled = true;
-    cfg.router.faultTolerant = true;
     cfg.health.enabled = true;
     cfg.health.heartbeatPeriod = 100 * ONE_US;
     cfg.health.suspectTimeout = 400 * ONE_US;

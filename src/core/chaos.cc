@@ -59,10 +59,10 @@ runChaos(const ChaosParams &p)
     cfg.meshWidth = p.meshWidth;
     cfg.meshHeight = p.meshHeight;
     cfg.traceEnabled = !p.tracePath.empty();
-    // The soak's whole point: reliable channels over a fault-tolerant
-    // mesh with liveness detection wired into every kernel.
+    // The soak's whole point: reliable channels over the paper's
+    // oblivious mesh with liveness detection wired into every kernel.
+    // Link outages are wire outages: retransmission rides them out.
     cfg.ni.reliability.enabled = true;
-    cfg.router.faultTolerant = true;
     cfg.health.enabled = true;
     cfg.health.heartbeatPeriod = 100 * ONE_US;
     cfg.health.suspectTimeout = 400 * ONE_US;
@@ -359,12 +359,12 @@ runChaos(const ChaosParams &p)
         Router::Port ap = f.aPort, bp = oppositeOf(f.aPort);
         eq.scheduleFn([&sys, a, b, ap, bp, &report]() {
             ++report.linkFlapsInjected;
-            sys.backplane().router(a).setLinkDead(ap, true);
-            sys.backplane().router(b).setLinkDead(bp, true);
+            sys.backplane().router(a).forceLinkDown(ap);
+            sys.backplane().router(b).forceLinkDown(bp);
         }, f.down, EventPriority::DEFAULT, "chaos link down");
         eq.scheduleFn([&sys, a, b, ap, bp]() {
-            sys.backplane().router(a).setLinkDead(ap, false);
-            sys.backplane().router(b).setLinkDead(bp, false);
+            sys.backplane().router(a).forceLinkUp(ap);
+            sys.backplane().router(b).forceLinkUp(bp);
         }, f.up, EventPriority::DEFAULT, "chaos link up");
     }
     for (const PartEv &pe : parts) {
@@ -397,7 +397,7 @@ runChaos(const ChaosParams &p)
     for (NodeId id = 0; id < n; ++id) {
         for (Router::Port port : {Router::EAST, Router::WEST, Router::NORTH,
                           Router::SOUTH}) {
-            sys.backplane().router(id).setLinkDead(port, false);
+            sys.backplane().router(id).forceLinkUp(port);
         }
         sys.restartNode(id);
     }
@@ -486,12 +486,10 @@ runChaos(const ChaosParams &p)
             // An overload burst may legitimately shed load at the
             // sender (outgoing FIFO overflow drop), so a source that
             // ever dropped cannot promise convergence -- only safety.
-            // A partition cycle degrades every pair, not just the
-            // isolated node's: each recovery bumps incarnations
-            // machine-wide, and every bump resets channels at every
-            // peer, legitimately fencing writes queued across it.
-            bool exact = p.partitions == 0 &&
-                         !crashedEver[s] && !crashedEver[d] &&
+            // A partition cycle ends only the sessions across the cut
+            // (their mappings are gone), so every other pair must
+            // still converge exactly.
+            bool exact = !crashedEver[s] && !crashedEver[d] &&
                          !sys.kernel(s).peerFailed(d) && mappingAlive &&
                          !deliberate(s, d) &&
                          sys.node(s).ni.sendOverflowDrops() == 0;
@@ -591,8 +589,7 @@ runChaos(const ChaosParams &p)
         report.partitionsDeclared += h->partitionsDeclared();
         report.staleEpochRejects += h->staleEpochRejects();
         Router &router = sys.backplane().router(id);
-        report.misroutes += router.misroutes();
-        report.routeAroundDrops += router.routeAroundDrops();
+        report.linkDownDrops += router.linkDownDrops();
         RetransmitBuffer &rb =
             sys.node(id).ni.retransmitBuffer();
         report.retransmits +=

@@ -46,8 +46,8 @@ struct ChaosParams
     unsigned crashes = 1;
     /** Transient bidirectional link outages injected. */
     unsigned linkFlaps = 3;
-    /** Longest link outage (short enough that retransmission or the
-     *  route-around path rides it out without failing the channel). */
+    /** Longest link outage (short enough that retransmission rides
+     *  it out without failing the channel). */
     Tick maxFlapTicks = 4 * ONE_MS;
     /** Stores issued per ordered node pair, spread over duration. */
     unsigned writesPerPair = 48;
@@ -76,8 +76,9 @@ struct ChaosParams
      * rng-chosen node behind a full two-way cut-set for longer than
      * the dead timeout, so the majority declares it DEAD while the
      * minority side stalls at SUSPECT for lack of quorum; the heal
-     * then soaks epoch-fenced reintegration (incarnation bumps,
-     * stale-stream fencing, DSM re-homing). Cycles are laid out in
+     * then soaks reintegration (the sessions across the cut end pair
+     * by pair, stale streams are fenced, DSM pages re-home) while
+     * every other pair keeps converging exactly. Cycles are laid out in
      * disjoint slices of the run so they never overlap. 0 disables
      * the phase.
      */
@@ -98,8 +99,8 @@ struct ChaosReport
     std::uint64_t heartbeatsSent = 0;
     std::uint64_t peersDeclaredDead = 0;
     std::uint64_t peersRecovered = 0;
-    std::uint64_t misroutes = 0;
-    std::uint64_t routeAroundDrops = 0;
+    /** Packets lost onto a downed wire (flaps and partition cuts). */
+    std::uint64_t linkDownDrops = 0;
     std::uint64_t retransmits = 0;
     std::uint64_t overloadBurstsInjected = 0;
     std::uint64_t sendsRejected = 0;

@@ -99,7 +99,6 @@ ShrimpSystem::partition(const std::vector<NodeId> &a,
     }
     auto cut = [this](NodeId from, NodeId to) {
         Router::Port port = _backplane->portToward(from, to);
-        _backplane->router(from).setLinkDead(port, true);
         _backplane->router(from).forceLinkDown(port);
         _cutLinks.emplace_back(from, port);
     };
@@ -120,7 +119,6 @@ void
 ShrimpSystem::heal()
 {
     for (auto [node, port] : _cutLinks) {
-        _backplane->router(node).setLinkDead(port, false);
         _backplane->router(node).forceLinkUp(port);
     }
     _cutLinks.clear();

@@ -134,24 +134,6 @@ class FaultModel
     }
 
     /**
-     * Has the link been continuously down for at least @p age ticks at
-     * @p now? Fault-tolerant routers use this to decide when a flap has
-     * lasted long enough to justify detouring around the link.
-     */
-    bool
-    downLongerThan(Tick now, Tick age) const
-    {
-        if (now >= _forcedSince && now < _forcedUntil &&
-            now - _forcedSince >= age) {
-            return true;
-        }
-        return now < _downUntil && now - _downSince >= age;
-    }
-
-    /** Start of the current outage window (valid while linkDown()). */
-    Tick downSince() const { return _downSince; }
-
-    /**
      * Force this direction of the link down from @p now for
      * @p duration ticks (0 = until forceUp()). The reverse direction
      * has its own FaultModel and keeps delivering: this is the runtime
@@ -167,12 +149,15 @@ class FaultModel
     }
 
     /** End a forced outage at @p now (sampled outages are unaffected
-     *  and still expire on their own). */
-    void
+     *  and still expire on their own). @return whether one was in
+     *  force. */
+    bool
     forceUp(Tick now)
     {
+        bool down = now >= _forcedSince && now < _forcedUntil;
         if (_forcedUntil > now)
             _forcedUntil = now;
+        return down;
     }
 
     /**
@@ -187,7 +172,6 @@ class FaultModel
             return Action::LINK_DOWN;
         if (_params.linkDownProb > 0.0 &&
             _rng.chance(_params.linkDownProb)) {
-            _downSince = now;
             _downUntil = now + _params.linkDownTicks;
             return Action::LINK_DOWN;   // this packet is the casualty
         }
@@ -226,7 +210,6 @@ class FaultModel
     Params _params;
     Rng _rng;
     Tick _downUntil = 0;
-    Tick _downSince = 0;
     /** Forced (deterministic) outage window, kept apart from the
      *  sampled one so forceUp() cannot cancel a sampled outage. */
     Tick _forcedSince = 0;

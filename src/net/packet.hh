@@ -61,10 +61,11 @@ struct NetPacket
      *  HEARTBEAT: the sender's packed (incarnation, view) stamp. */
     std::uint64_t rseq = 0;
     /**
-     * Channel epoch: the sender's kernel incarnation number at
-     * injection time (0 = epoch fencing off). Receivers drop packets
-     * stamped from an older life of the sender and resynchronize the
-     * reliability channel when a newer life appears, so a healed
+     * Channel epoch of the sender's stream toward dstNode: the times
+     * it restarted that one stream (high half) over its kernel
+     * incarnation (low half); 0 = epoch fencing off. Receivers drop
+     * packets stamped from an older stream and resynchronize the
+     * reliability channel when a newer one appears, so a healed
      * partition cannot resurrect a pre-partition stream. Folded into
      * the reliability header's padding, so wireBytes() is unchanged.
      */
@@ -78,15 +79,6 @@ struct NetPacket
      * window before loss occurs. Mutates per hop, so not CRC'd.
      */
     bool congestion = false;
-
-    // ---- adaptive-routing state (mutates per hop, so not CRC'd) ----
-    /** Set when a router detoured around a dead Y link: downstream
-     *  routers finish the Y dimension first so the packet cannot
-     *  bounce back over the failed column. Cleared by an X detour. */
-    bool yFirst = false;
-    /** Detours taken so far; routers drop past a small budget rather
-     *  than livelock between multiple failures. */
-    std::uint8_t misroutes = 0;
 
     // ---- simulation bookkeeping (not on the wire) ----
     Tick injectedAt = 0;        //!< when the source NIC injected it

@@ -25,26 +25,8 @@ Router::Router(EventQueue &eq, std::string name, unsigned x, unsigned y,
     _stats.addStat(&_faultDuplicates);
     _stats.addStat(&_faultReorders);
     _stats.addStat(&_linkDownDrops);
-    _stats.addStat(&_misroutes);
-    _stats.addStat(&_routeAroundDrops);
     _stats.addStat(&_ecnMarks);
     _stats.addStat(&_queueDepth);
-}
-
-void
-Router::setLinkDead(Port out, bool dead)
-{
-    SHRIMP_ASSERT(out != LOCAL, "the ejection channel cannot die");
-    if (_linkDeadExt[out] == dead)
-        return;
-    _linkDeadExt[out] = dead;
-    if (auto *t = eventQueue().tracer()) {
-        t->instant(curTick(), name(), "net",
-                   dead ? "linkDead" : "linkAlive",
-                   {trace::arg("port", static_cast<unsigned>(out))});
-    }
-    if (!dead)
-        scheduleAdvance(curTick());
 }
 
 void
@@ -77,14 +59,22 @@ Router::forceLinkDown(Port out, Tick duration)
             std::make_unique<FaultModel>(FaultModel::Params{}, salt);
     }
     _faults[out]->forceDown(curTick(), duration);
+    if (auto *t = eventQueue().tracer()) {
+        t->instant(curTick(), name(), "net", "linkDead",
+                   {trace::arg("port", static_cast<unsigned>(out))});
+    }
 }
 
 void
 Router::forceLinkUp(Port out)
 {
     SHRIMP_ASSERT(out != LOCAL, "the ejection channel cannot die");
-    if (_faults[out])
-        _faults[out]->forceUp(curTick());
+    if (_faults[out] && _faults[out]->forceUp(curTick())) {
+        if (auto *t = eventQueue().tracer()) {
+            t->instant(curTick(), name(), "net", "linkAlive",
+                       {trace::arg("port", static_cast<unsigned>(out))});
+        }
+    }
     scheduleAdvance(curTick());
 }
 
@@ -159,20 +149,7 @@ Router::Port
 Router::preferredPort(const NetPacket &pkt) const
 {
     // Dimension-order: correct X first, then Y (oblivious, deadlock
-    // free per Dally & Seitz). A packet that detoured around a dead
-    // Y link carries yFirst and finishes Y before resuming X, so it
-    // cannot bounce back across the failed column.
-    if (pkt.yFirst) {
-        if (pkt.dstY > _y)
-            return SOUTH;
-        if (pkt.dstY < _y)
-            return NORTH;
-        if (pkt.dstX > _x)
-            return EAST;
-        if (pkt.dstX < _x)
-            return WEST;
-        return LOCAL;
-    }
+    // free per Dally & Seitz).
     if (pkt.dstX > _x)
         return EAST;
     if (pkt.dstX < _x)
@@ -182,60 +159,6 @@ Router::preferredPort(const NetPacket &pkt) const
     if (pkt.dstY < _y)
         return NORTH;
     return LOCAL;
-}
-
-bool
-Router::linkUsable(Port out, Tick now) const
-{
-    if (!_neighbor[out] || _linkDeadExt[out])
-        return false;
-    const FaultModel *fm = _faults[out].get();
-    return !(fm && fm->downLongerThan(now, _params.routeAroundAfter));
-}
-
-Router::RouteDecision
-Router::routeOf(const NetPacket &pkt, Tick now) const
-{
-    Port pref = preferredPort(pkt);
-    if (pref == LOCAL)
-        return {LOCAL, false, false};
-    if (!_params.faultTolerant || linkUsable(pref, now))
-        return {pref, false, false};
-    if (pkt.misroutes >= _params.misrouteBudget)
-        return {NUM_PORTS, false, false};
-
-    // Misroute one hop perpendicular to the dead dimension, preferring
-    // the direction that still makes progress. An X detour clears
-    // yFirst (the next router retries X from a different row); a Y
-    // detour sets it (finish Y from a different column first). Each
-    // detour adds at most one extra turn, and with a single failed
-    // link that turn cannot close a cycle with dimension-order's
-    // allowed turns -- the turn-model argument for deadlock freedom.
-    // Multiple simultaneous failures are instead bounded by the
-    // misroute budget: the packet is dropped rather than livelocked,
-    // and the reliability layer retransmits.
-    bool x_dim = pref == EAST || pref == WEST;
-    Port primary;
-    if (x_dim) {
-        primary = pkt.dstY > _y   ? SOUTH
-                  : pkt.dstY < _y ? NORTH
-                  : _neighbor[SOUTH] ? SOUTH
-                                     : NORTH;
-    } else {
-        primary = pkt.dstX > _x   ? EAST
-                  : pkt.dstX < _x ? WEST
-                  : _neighbor[EAST] ? EAST
-                                    : WEST;
-    }
-    Port secondary = primary == EAST    ? WEST
-                     : primary == WEST  ? EAST
-                     : primary == SOUTH ? NORTH
-                                        : SOUTH;
-    for (Port cand : {primary, secondary}) {
-        if (linkUsable(cand, now))
-            return {cand, true, !x_dim};
-    }
-    return {NUM_PORTS, false, false};
 }
 
 void
@@ -295,30 +218,7 @@ Router::advance()
             continue;
         }
 
-        RouteDecision rd = routeOf(head.pkt, now);
-        Port out = rd.out;
-
-        if (out == NUM_PORTS) {
-            // Every output toward the destination is dead (or the
-            // misroute budget is spent). Drop here: the reliability
-            // layer retransmits, and a later attempt re-probes links
-            // that may have recovered.
-            ++_routeAroundDrops;
-            if (auto *t = eventQueue().tracer(); t && head.pkt.traceId) {
-                t->flowEnd(now, name(), "packet", "lost",
-                           head.pkt.traceId,
-                           {trace::arg("reason", "noRoute")});
-            }
-            in.queue.pop_front();
-            eventQueue().scheduleFn(
-                [this, p]() { releaseCredit(static_cast<Port>(p)); },
-                now, EventPriority::DEFAULT, "no-route drop");
-            // The drop freed the head of this queue; packets behind
-            // it must be re-examined now or they stall until some
-            // unrelated event happens to re-arm the advance loop.
-            scheduleAdvance(now);
-            continue;
-        }
+        Port out = preferredPort(head.pkt);
 
         if (_outBusyUntil[out] > now) {
             scheduleAdvance(_outBusyUntil[out]);
@@ -369,21 +269,6 @@ Router::advance()
                 nbr_in, reinterpret_cast<std::uintptr_t>(this),
                 [this] { scheduleAdvance(curTick()); });
             continue;
-        }
-
-        // The transmission commits past this point: only now stamp a
-        // detour onto the packet, so a forward that was repeatedly
-        // blocked on credit never burned the misroute budget.
-        if (rd.detour) {
-            head.pkt.yFirst = rd.yFirstAfter;
-            ++head.pkt.misroutes;
-            ++_misroutes;
-            if (auto *t = eventQueue().tracer(); t && head.pkt.traceId) {
-                t->flowStep(now, name(), "packet", "misroute",
-                            head.pkt.traceId,
-                            {trace::arg("out",
-                                        static_cast<unsigned>(out))});
-            }
         }
 
         // The link fault model rules on this transmission. Decided

@@ -73,18 +73,12 @@ class Router : public SimObject
         std::uint64_t linkBytesPerSec = 80'000'000;
 
         /**
-         * Fault-tolerant routing: detour around links that are
-         * externally advertised dead (setLinkDead) or that the fault
-         * model has held down for longer than routeAroundAfter. Off by
-         * default: plain dimension-order, exactly the paper's fabric.
+         * Inert: has no effect. Routing is always plain dimension
+         * order, and link outages are left to the NI's retransmission
+         * layer. Kept only because the frozen benchmark workloads
+         * still assign it; it goes away at the next benchmark change.
          */
         bool faultTolerant = false;
-        /** Outage age before a flapping link is routed around; shorter
-         *  flaps are left to the NI's retransmission layer. */
-        Tick routeAroundAfter = 200 * ONE_US;
-        /** Detours one packet may take before the router gives up and
-         *  drops it (livelock guard under multiple failures). */
-        unsigned misrouteBudget = 8;
 
         /**
          * ECN-style marking: a reliable DATA packet arriving at an
@@ -145,24 +139,12 @@ class Router : public SimObject
     FaultModel *faultModel(Port out) { return _faults[out].get(); }
 
     /**
-     * Externally advertise the output link behind @p out as dead (or
-     * alive again) -- the health service / backplane uses this when a
-     * peer or cable is known down. Only consulted in fault-tolerant
-     * mode. Reviving a link kicks the pipeline so parked traffic
-     * immediately retries the preferred route.
-     */
-    void setLinkDead(Port out, bool dead);
-
-    /** Is @p out externally advertised dead? */
-    bool linkDeadExternally(Port out) const { return _linkDeadExt[out]; }
-
-    /**
      * Force the directed link behind @p out into an outage starting
-     * now, for @p duration ticks (0 = until forceLinkUp). Unlike
-     * setLinkDead -- a routing advertisement only honored in
-     * fault-tolerant mode -- this kills the wire itself: transmissions
-     * die as linkDownDrops in every routing mode, and only in this
-     * direction. Lazily attaches a quiet FaultModel when none is
+     * now, for @p duration ticks (0 = until forceLinkUp). This kills
+     * the wire itself, in this direction only: routing stays
+     * dimension-order, so transmissions onto the link die as
+     * linkDownDrops and the NI's retransmission layer rides the
+     * outage out. Lazily attaches a quiet FaultModel when none is
      * configured.
      */
     void forceLinkDown(Port out, Tick duration = 0);
@@ -170,12 +152,7 @@ class Router : public SimObject
     /** End a forced outage on @p out and kick parked traffic. */
     void forceLinkUp(Port out);
 
-    std::uint64_t misroutes() const { return _misroutes.value(); }
     std::uint64_t ecnMarks() const { return _ecnMarks.value(); }
-    std::uint64_t routeAroundDrops() const
-    {
-        return _routeAroundDrops.value();
-    }
 
     /** Total packets parked in input queues (quiescence checks). */
     std::size_t
@@ -247,26 +224,8 @@ class Router : public SimObject
         std::deque<Waiter> waiters;     //!< FIFO wake order
     };
 
-    /**
-     * Routing decision for one packet. `out == NUM_PORTS` means no
-     * usable route exists (drop). A detour is only *applied* to the
-     * packet (yFirst flag, misroute budget) when the forward actually
-     * commits, so retries blocked on credit never burn the budget.
-     */
-    struct RouteDecision
-    {
-        Port out;
-        bool detour;        //!< out deviates from dimension order
-        bool yFirstAfter;   //!< yFirst value to stamp when detouring
-    };
-
-    /** Plain dimension-order preference (honoring pkt.yFirst). */
+    /** Dimension-order (X then Y) output port toward pkt's target. */
     Port preferredPort(const NetPacket &pkt) const;
-
-    /** Can @p out carry traffic at @p now (fault-tolerant mode)? */
-    bool linkUsable(Port out, Tick now) const;
-
-    RouteDecision routeOf(const NetPacket &pkt, Tick now) const;
 
     /** Try to make forwarding progress on every input port. */
     void advance();
@@ -291,7 +250,6 @@ class Router : public SimObject
     std::function<void()> _injectWaiter;
     EventFunctionWrapper _advanceEvent;
     std::array<std::unique_ptr<FaultModel>, NUM_PORTS> _faults;
-    std::array<bool, NUM_PORTS> _linkDeadExt{};
 
     stats::Group _stats;
     stats::Counter _forwarded{"forwarded", "packets forwarded"};
@@ -311,11 +269,6 @@ class Router : public SimObject
                                   "packets delayed past successors"};
     stats::Counter _linkDownDrops{"linkDownDrops",
                                   "packets lost to link outage windows"};
-    stats::Counter _misroutes{"misroutes",
-                              "detours taken around dead links"};
-    stats::Counter _routeAroundDrops{
-        "routeAroundDrops",
-        "packets dropped with no usable route left"};
     stats::Counter _ecnMarks{
         "ecnMarks", "data packets congestion-marked at arrival"};
     stats::Histogram _queueDepth{

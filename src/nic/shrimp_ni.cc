@@ -89,6 +89,7 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
     _stats.addStat(&_deliveryLatency);
     _stats.addStat(&_deliveryLatencyHist);
 
+    _txStreams.resize(backplane.numNodes());
     if (_params.reliability.enabled) {
         _rx.resize(backplane.numNodes());
         // Salt the backoff-jitter seed per node so every NI draws a
@@ -290,12 +291,12 @@ ShrimpNi::emitPacket(NodeId dst, Addr dst_addr,
         return;
     }
     // Reliable DATA is NOT stamped with (rseq, srcEpoch) here: the
-    // packet can sit in the outgoing FIFO across a channel reset or an
-    // incarnation bump, and a pre-assigned stamp would enter the fresh
-    // window as an orphan of the previous life -- a sequence the
-    // receiver (resynchronized to expect 0) can never ACK. tryInject()
-    // stamps and re-seals at the moment the packet actually enters the
-    // retransmit window.
+    // packet can sit in the outgoing FIFO across an incarnation bump
+    // (a stream restart drops it instead), and a pre-assigned stamp
+    // would enter the fresh window as an orphan of the previous life
+    // -- a sequence the receiver (resynchronized to expect 0) can
+    // never ACK. tryInject() stamps and re-seals at the moment the
+    // packet actually enters the retransmit window.
     pkt.sealCrc();
     pkt.injectedAt = curTick();
     pkt.seq = _nextSeq++;
@@ -349,12 +350,16 @@ ShrimpNi::tryInject()
         _nextInjectOk = now + _params.injectOverhead + ser;
         if (auto *t = eventQueue().tracer(); t && pkt.traceId) {
             // A control-queue packet with a flow id is a
-            // retransmission of a traced DATA packet. The original
-            // flow may already have ended (lost in the fabric, or a
-            // spurious timeout after delivery), so a retransmission
-            // re-opens the flow rather than stepping it.
+            // retransmission of a traced DATA packet. Each copy is a
+            // flow of its own: the original may have ended (lost in
+            // the fabric, or delivered before a spurious timeout) or
+            // may still be in flight, and then whichever copy arrives
+            // second ends as a suppressed duplicate.
+            std::uint64_t copy_of = pkt.traceId;
+            pkt.traceId = t->newFlowId();
             t->flowBegin(now, name(), "packet", "retransmitInject",
-                         pkt.traceId, {trace::arg("rseq", pkt.rseq)});
+                         pkt.traceId, {trace::arg("rseq", pkt.rseq),
+                                       trace::arg("copyOf", copy_of)});
         }
         _router.inject(std::move(pkt));
         noteProgress();
@@ -381,8 +386,10 @@ ShrimpNi::tryInject()
                  head.pkt.kind == NetPacket::Kind::DATA;
     if (track) {
         NodeId dst = head.pkt.dstNode;
-        if (_retx->isFailed(dst)) {
-            // The channel died while this packet sat in the FIFO.
+        if (_retx->isFailed(dst) ||
+            head.pkt.seq < _txStreams[dst].firstSeq) {
+            // The channel died, or its session ended, while this packet
+            // sat in the FIFO.
             NetPacket dead = _outFifo.pop();
             ++_relDroppedFailed;
             if (auto *t = eventQueue().tracer(); t && dead.traceId) {
@@ -411,7 +418,7 @@ ShrimpNi::tryInject()
         // the window, so sequence numbering and the channel epoch are
         // always those of the stream it actually travels in.
         pkt.rseq = _retx->assignSeq(pkt.dstNode);
-        pkt.srcEpoch = _chanEpoch;
+        pkt.srcEpoch = txEpoch(pkt.dstNode);
         pkt.sealCrc();
         _retx->record(pkt);
     }
@@ -601,15 +608,17 @@ ShrimpNi::sinkDeliver(NetPacket &&pkt)
         return;
     }
 
-    // Epoch gate (partition fencing): a reliable packet stamped from
-    // an older life of its sender is a relic of a healed partition or
-    // a pre-restart stream; fence it before it can touch channel or
-    // memory state. A newer stamp means the sender started a new life
-    // and its stream restarts from sequence 0, so resynchronize our
-    // receive state for that source.
+    // Epoch gate (session fencing): a reliable packet stamped from an
+    // older stream of its sender -- or from the current one, after we
+    // ended the session -- is a relic of a healed partition or a
+    // pre-restart stream; fence it before it can touch channel or
+    // memory state. A newer stamp means the sender restarted its
+    // stream from sequence 0, so resynchronize our receive state for
+    // that source.
     if (pkt.reliable && pkt.srcEpoch != 0 && pkt.srcNode < _rx.size()) {
         RxState &rx = _rx[pkt.srcNode];
-        if (rx.epoch != 0 && pkt.srcEpoch < rx.epoch) {
+        if (rx.epoch != 0 && (pkt.srcEpoch < rx.epoch ||
+                              (rx.fenced && pkt.srcEpoch == rx.epoch))) {
             ++_staleEpochDrops;
             if (auto *t = eventQueue().tracer(); t && pkt.traceId) {
                 t->flowEnd(curTick(), name(), "packet", "dropped",
@@ -624,8 +633,20 @@ ShrimpNi::sinkDeliver(NetPacket &&pkt)
             return;
         }
         if (pkt.srcEpoch > rx.epoch) {
+            // A newer stamp: resynchronize to the sender's stream. If
+            // it restarted a stream we already had (its restart count
+            // rose, not just its life), the kernel decides what the
+            // restart means for the session.
+            bool restarted = rx.epoch != 0 &&
+                             (pkt.srcEpoch >> restartShift) >
+                                 (rx.epoch >> restartShift);
+            bool was_fenced = rx.fenced;
             rx = RxState{};
             rx.epoch = pkt.srcEpoch;
+            if (restarted && onStreamRestarted) {
+                bool ended = (pkt.srcEpoch >> restartShift) % 2 == 0;
+                onStreamRestarted(pkt.srcNode, ended, was_fenced);
+            }
         }
     }
 
@@ -698,6 +719,11 @@ ShrimpNi::receiveReliableData(NetPacket &&pkt)
                        {trace::arg("src",
                                    static_cast<std::uint64_t>(src)),
                         trace::arg("rseq", pkt.rseq)});
+            if (pkt.traceId) {
+                t->flowEnd(curTick(), name(), "packet", "dropped",
+                           pkt.traceId,
+                           {trace::arg("reason", "duplicate")});
+            }
         }
         SHRIMP_DTRACE("Nic", curTick(), name(), "DUP seq ", pkt.rseq,
                       " from node ", src, " (expected ", rx.expected,
@@ -782,7 +808,7 @@ ShrimpNi::makeControl(NetPacket::Kind kind, NodeId dst,
     pkt.reliable = true;
     pkt.kind = kind;
     pkt.rseq = rseq;
-    pkt.srcEpoch = _chanEpoch;
+    pkt.srcEpoch = txEpoch(dst);
     pkt.sealCrc();
     pkt.injectedAt = curTick();
     pkt.seq = _nextSeq++;
@@ -923,6 +949,8 @@ ShrimpNi::startNewEpoch(std::uint32_t epoch)
 {
     if (epoch == _chanEpoch)
         return;
+    SHRIMP_ASSERT(epoch < (1u << restartShift),
+                  "channel epoch overflow: ", epoch);
     _chanEpoch = epoch;
     if (!_params.reliability.enabled)
         return;
@@ -955,18 +983,31 @@ ShrimpNi::declarePeerDead(NodeId dst)
 }
 
 void
-ShrimpNi::resetChannel(NodeId peer)
+ShrimpNi::restartStream(NodeId peer, bool end)
 {
     if (!_params.reliability.enabled)
         return;
+    // The peer may not have reset its side (it never died, it was
+    // only cut off from us): a newer stamp toward it makes its epoch
+    // gate resynchronize to our restarted stream and fence the old
+    // one, without touching our streams to anyone else. Packets still
+    // queued for it belong to the old session; they must not slip
+    // into the new stream.
+    std::uint32_t &n = _txStreams[peer].restarts;
+    n = end ? (n | 1) + 1 : (n + 1) | 1;
+    SHRIMP_ASSERT(n < (1u << (32 - restartShift)),
+                  "stream restart count overflow toward node ", peer);
+    _txStreams[peer].firstSeq = _nextSeq;
     _retx->resetChannel(peer);
     // Receive state is deliberately left alone: resynchronization is
     // the epoch gate's job (sinkDeliver), driven by the srcEpoch of
     // arriving packets. The data plane often resynchronizes to a
-    // peer's new life before the health stamp propagates; zeroing
+    // peer's new stream before this control-plane call lands; zeroing
     // `expected` here would clobber such a stream mid-flight, and the
     // receiver would then NACK for sequences the sender has already
     // retired -- a wedge only a full retry-budget death can clear.
+    if (end)
+        _rx[peer].fenced = true;
 }
 
 unsigned
@@ -1007,7 +1048,7 @@ ShrimpNi::setCrashed(bool crashed)
         _draining = false;
         // Drop every retransmit window/deadline: a dead node must not
         // keep its timer alive queueing retransmissions nobody sends.
-        // Unlike resetChannel(), a power-fail wipes the receive side
+        // Unlike restartStream(), a power-fail wipes the receive side
         // too -- the chip's stream state is simply gone. A fresh
         // RxState (epoch 0) is correct: the first packet carrying any
         // srcEpoch > 0 resynchronizes it.

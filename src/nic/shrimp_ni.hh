@@ -180,6 +180,14 @@ class ShrimpNi : public SimObject,
      *  its sender (the kernel rolls this into staleEpochRejects). */
     std::function<void(NodeId src)> onStaleEpochDrop;
 
+    /** @p src restarted its stream to us (not just its life): to end
+     *  the session (@p ended), or following ours or its view of our
+     *  new life. @p was_fenced: we had ended the session ourselves and
+     *  were fencing its previous stream. The kernel decides what the
+     *  restart means for the session. */
+    std::function<void(NodeId src, bool ended, bool was_fenced)>
+        onStreamRestarted;
+
     // ---- liveness / failure support ----
 
     /** Emit one HEARTBEAT toward @p dst via the control queue (jumps
@@ -214,9 +222,16 @@ class ShrimpNi : public SimObject,
      */
     void declarePeerDead(NodeId dst);
 
-    /** Reset both reliability directions with @p peer to sequence 0
-     *  (used when a crashed peer rejoins). */
-    void resetChannel(NodeId peer);
+    /**
+     * Restart our reliability stream to @p peer from sequence 0 in a
+     * newer channel epoch, dropping what is still queued for it. With
+     * @p end we end the session: the restart count becomes even and
+     * the peer's current stream is fenced until it restarts too, so
+     * nothing it sent in the old session reaches the new one. Without
+     * it we follow a restart the peer made (a new life, or its end of
+     * the session): the count becomes odd and nothing is fenced.
+     */
+    void restartStream(NodeId peer, bool end);
 
     /** Clear the error flag on surviving outgoing halves toward
      *  @p dst (kernel-channel/NX wirings healed on peer recovery).
@@ -413,9 +428,13 @@ class ShrimpNi : public SimObject,
         /** Congestion observed (marked packet, or our FIFO nearly
          *  full); echoed and cleared by the next outgoing ACK. */
         bool ecnPending = false;
-        /** Channel epoch of the sender life this state belongs to
+        /** Channel epoch of the sender stream this state belongs to
          *  (0 = epoch fencing unused). Survives channel resets. */
         std::uint32_t epoch = 0;
+        /** We ended the session (restartStream with end): packets
+         *  of the current epoch are old-session relics until the
+         *  sender's stream restarts too. */
+        bool fenced = false;
     };
 
     bool _accepting = true;     //!< incoming flow-control state
@@ -426,9 +445,33 @@ class ShrimpNi : public SimObject,
     bool _crashed = false;      //!< node power-failed (crashNode)
     /** Bumped on crash: orphans in-flight drain-burst completions. */
     std::uint64_t _epoch = 0;
-    /** Channel epoch stamped into outgoing packets (startNewEpoch);
-     *  0 until the kernel's health service sets it. */
+    /** Our life's channel epoch (startNewEpoch); 0 until the kernel's
+     *  health service sets it. */
     std::uint32_t _chanEpoch = 0;
+    /** Our stream to one peer across session restarts. */
+    struct TxStream
+    {
+        /** Restarts so far: even after we ended the session, odd
+         *  after we followed a restart of the peer's. Kept across a crash,
+         *  like _chanEpoch, so stamps toward the peer never fall. */
+        std::uint32_t restarts = 0;
+        /** Outgoing FIFO packets queued before this _nextSeq belong
+         *  to an ended session and are dropped, never injected. */
+        std::uint64_t firstSeq = 0;
+    };
+    std::vector<TxStream> _txStreams;
+
+    /** Restart counts live above our life's epoch in the stamp. */
+    static constexpr unsigned restartShift = 16;
+
+    /** Channel epoch stamped toward @p dst: (restarts, life) ordered
+     *  lexicographically, so it strictly grows with each new life of
+     *  ours and each restart of our stream to dst. */
+    std::uint32_t
+    txEpoch(NodeId dst) const
+    {
+        return (_txStreams[dst].restarts << restartShift) | _chanEpoch;
+    }
     Tick _nextInjectOk = 0;
     std::uint64_t _nextSeq = 0;
 
@@ -486,7 +529,8 @@ class ShrimpNi : public SimObject,
     stats::Counter _relMappingsErrored{
         "relMappingsErrored", "mapping halves marked errored"};
     stats::Counter _relDroppedFailed{
-        "relDroppedFailed", "packets dropped toward failed destinations"};
+        "relDroppedFailed",
+        "packets dropped toward failed destinations or ended sessions"};
     stats::Counter _crashDrops{
         "crashDrops", "packets discarded while the node was crashed"};
     stats::Counter _heartbeatsForwarded{

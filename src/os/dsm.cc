@@ -914,32 +914,13 @@ Dsm::peerDied(NodeId peer)
 }
 
 void
-Dsm::peerRecovered(NodeId peer)
+Dsm::resetSession(NodeId peer)
 {
-    for (std::uint32_t page = 0; page < _cfg.numPages; ++page) {
-        if (!isHome(page))
-            continue;
-        DirEntry &d = _dir[page];
-        if (d.errored && d.lostOwner == peer) {
-            // Re-home: the page becomes servable again with the last
-            // written-back contents in the home frame.
-            d.errored = false;
-            d.lostOwner = INVALID_NODE;
-            ++_rehomes;
-            pump(page);
-        }
-    }
-}
-
-void
-Dsm::peerEpochChanged(NodeId peer, std::uint32_t inc)
-{
-    (void)inc;
     if (peer >= _links.size() || peer == _kernel.nodeId())
         return;
 
-    // Messages addressed to the old life can never be acknowledged by
-    // the new one (its RPC engine restarted from scratch).
+    // Messages of the old session can never be acknowledged in the
+    // new one (the peer's RPC engine restarted from scratch).
     failAllMsgs(peer);
 
     for (std::uint32_t page = 0; page < _cfg.numPages; ++page) {
@@ -949,7 +930,7 @@ Dsm::peerEpochChanged(NodeId peer, std::uint32_t inc)
                 if (d.sharers[i] == peer)
                     d.sharers.erase(d.sharers.begin() +
                                     static_cast<std::ptrdiff_t>(i));
-            // Old-life requests are void; the new life re-requests.
+            // Old-session requests are void; the peer re-requests.
             auto &w = d.waiters;
             std::size_t keep = d.busy ? 1 : 0;
             for (std::size_t i = w.size(); i-- > keep;)
@@ -957,37 +938,34 @@ Dsm::peerEpochChanged(NodeId peer, std::uint32_t inc)
                     w.erase(w.begin() +
                             static_cast<std::ptrdiff_t>(i));
             if (d.errored && d.lostOwner == peer) {
-                // The peer's new life is proof its old one is gone --
-                // the same evidence peerRecovered() acts on. Re-home
-                // here too: a restart can outrun the failure detector
-                // (never DEAD, so never "recovered"), and the doomed
-                // recall RPC has already routed through ownerLost().
-                // Exactly once either way: ownerLost() cleared the
-                // owner field, so the revoke branch below cannot also
+                // Re-home the page its death errored: the page becomes
+                // servable again with the last written-back contents
+                // in the home frame. Exactly once: ownerLost() cleared
+                // the owner field, so the revoke below cannot also
                 // fire for this grant.
                 d.errored = false;
                 d.lostOwner = INVALID_NODE;
                 ++_rehomes;
             }
-            if (d.owner == peer) {
-                // Revoke the old life's grant: the last written-back
-                // copy in the home frame becomes authoritative again.
-                // Exactly once per grant -- the owner field is cleared
-                // here, so a second epoch change cannot re-home.
+            bool revoked = d.owner == peer;
+            if (revoked) {
+                // Revoke the old session's grant: the last written-
+                // back copy in the home frame becomes authoritative
+                // again. Exactly once per grant -- the owner field is
+                // cleared here, so a second reset cannot re-home.
                 d.owner = INVALID_NODE;
                 d.granteeIncarnation = 0;
                 d.awaitingWb = false;
                 d.pendingAcks = 0;
                 ++d.gen;
                 ++_rehomes;
-                if (d.busy && !d.waiters.empty()) {
-                    if (d.waiters.front().requester == peer)
-                        finishHead(page, err::STALE_EPOCH);
-                    else
-                        runHead(page);
-                } else {
-                    pump(page);
-                }
+            }
+            if (d.busy && d.waiters.front().requester == peer) {
+                // An old-session request in service must never be
+                // granted into the new session.
+                finishHead(page, err::STALE_EPOCH);
+            } else if (d.busy && revoked) {
+                runHead(page);
             } else {
                 pump(page);
             }

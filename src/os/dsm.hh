@@ -145,26 +145,24 @@ class Dsm
      *  fail everything queued toward it with HOSTDOWN. Idempotent. */
     void peerDied(NodeId peer);
 
-    /** A DEAD peer recovered: re-home pages errored on its account
-     *  (contents = last home writeback). */
-    void peerRecovered(NodeId peer);
-
     /**
-     * Peer @p peer started a new life (incarnation @p inc) without
-     * necessarily ever being declared DEAD here (partition heal).
-     * Everything bound to its old life is void: grants it held are
-     * revoked (the page re-homes to the last written-back copy,
-     * exactly once, since the owner field is cleared), its sharer and
-     * waiter records are dropped, and our copies of pages it homes are
-     * discarded (its directory no longer knows about them).
+     * Our session with @p peer ended: it started a new life, one of
+     * us declared the other dead and has recovered it since, or both.
+     * Everything bound to the old session is void: pages errored by
+     * its death re-home, grants it held are revoked (the page re-homes
+     * to the last written-back copy, exactly once, since the owner
+     * field is cleared), its sharer and waiter records are dropped, an
+     * old request of its in service is failed rather than granted,
+     * and our copies of pages it homes are discarded (its directory no
+     * longer knows about them).
      */
-    void peerEpochChanged(NodeId peer, std::uint32_t inc);
+    void resetSession(NodeId peer);
 
     /**
-     * This node started a new life (partition heal or restart) while
-     * its memory survived: copies of remotely-homed pages may have
-     * been re-homed behind our back, so holding on to them could
-     * create a second WRITE_EXCLUSIVE owner. Drop them all.
+     * This node started a new life (a restart) while its memory
+     * survived: copies of remotely-homed pages may have been re-homed
+     * behind our back, so holding on to them could create a second
+     * WRITE_EXCLUSIVE owner. Drop them all.
      */
     void fenceSelf();
 

@@ -319,16 +319,14 @@ HealthMonitor::transition(NodeId peer, PeerHealth to)
             _hooks.peerDead(peer);
         break;
       case PeerHealth::ALIVE:
+        // The far side of a partition (or a restarted peer) is back.
+        // No new life of our own: the kernel ends the session with
+        // this one peer (peerRecovered), our streams to every other
+        // peer stay continuous, and a restarted peer already fenced
+        // its old life with its own bump. Only quorum stalls clear.
         if (from == PeerHealth::DEAD || p.quorumStalled) {
-            // The far side of a partition (or a restarted peer) is
-            // back. Start a new life of our own first, so any of our
-            // pre-partition traffic still queued in the fabric is
-            // fenced by every receiver; then reintegrate the peer.
-            bool stalled = p.quorumStalled;
             for (PeerState &q : _peers)
                 q.quorumStalled = false;
-            bumpIncarnation(stalled ? "partition heal"
-                                    : "peer recovered");
         }
         if (from == PeerHealth::DEAD) {
             ++_peersRecovered;

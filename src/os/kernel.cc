@@ -46,6 +46,7 @@ Kernel::Kernel(EventQueue &eq, std::string name, NodeId node,
     _stats.addStat(&_crashes);
     _stats.addStat(&_restarts);
     _stats.addStat(&_sendsRejected);
+    _sessionRestarted.assign(_numNodes, false);
 
     _cpu.setTrapHandler(this);
     _ni.onArrival = [this](PageNum page, Addr) {
@@ -452,6 +453,10 @@ Kernel::enableHealth(const HealthParams &params)
         // the machine-wide stale-epoch accounting.
         _health->noteFencedDrop();
     };
+    _ni.onStreamRestarted = [this](NodeId src, bool ended,
+                                   bool was_fenced) {
+        peerRestartedStream(src, ended, was_fenced);
+    };
     _ni.startNewEpoch(_health->selfIncarnation());
     _health->start();
 }
@@ -487,19 +492,57 @@ Kernel::peerEpochChanged(NodeId peer, std::uint32_t inc)
                     trace::arg("inc",
                                static_cast<std::uint64_t>(inc))});
     }
-    // RPCs addressed to the peer's previous life can never complete;
-    // doom them with err::STALE_EPOCH and restart both the RPC engine
-    // and the reliability channel so new-life traffic starts clean.
+    // The new life's receive side starts from scratch, so our stream
+    // to it restarts as well. Its new stream is already the next
+    // session: we follow (nothing fenced), and the odd restart count
+    // tells the new life that we did not end its session.
+    _ni.restartStream(peer, false);
+    resetSession(peer);
+    _sessionRestarted[peer] = true;
+}
+
+void
+Kernel::peerRestartedStream(NodeId peer, bool ended, bool was_fenced)
+{
+    // A restart that follows ours, or our new life, asks nothing of
+    // us. Nor does an end that crossed our own: our end already reset
+    // our side, and each restart lifts the other side's fence.
+    if (peer == _node || peer >= _numNodes || !ended || was_fenced)
+        return;
+    if (auto *t = eventQueue().tracer()) {
+        t->instant(curTick(), name(), "kernel", "sessionEndedBy",
+                   {trace::arg("peer",
+                               static_cast<std::uint64_t>(peer))});
+    }
+    // The peer declared us dead, recovered us and ended the session.
+    // Follow its restart, and drop every mapping between us as it did
+    // (incoming at the death, outgoing at the recovery), so our stores
+    // toward it stop instead of landing nowhere; the application must
+    // re-map, as on the peer's side. If we hold the peer DEAD too, its
+    // current stream is already the next session: recovering it later
+    // must not end (and fence) that one as well.
+    _ni.restartStream(peer, false);
+    _mapManager->purgeOutTo(peer);
+    _mapManager->purgeDeadPeerIn(peer);
+    resetSession(peer);
+    _sessionRestarted[peer] = true;
+}
+
+void
+Kernel::resetSession(NodeId peer)
+{
+    // RPCs addressed to the peer's old session can never complete;
+    // doom them with err::STALE_EPOCH and restart the RPC engine so
+    // new traffic starts clean.
     _mapManager->resetPeer(peer, err::STALE_EPOCH);
-    _ni.resetChannel(peer);
     if (peer < _channelIn.size() && _channelIn[peer] != INVALID_PAGE) {
-        // Stale seq words from the previous life would otherwise
+        // Stale seq words from the old session would otherwise
         // replay old RPCs against the reset engine.
         std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
         _mem.write(pageBase(_channelIn[peer]), zeros.data(), PAGE_SIZE);
     }
     if (_dsm)
-        _dsm->peerEpochChanged(peer, inc);
+        _dsm->resetSession(peer);
 }
 
 bool
@@ -530,6 +573,7 @@ Kernel::peerDied(NodeId peer)
     if (peer == _node || peer >= _numNodes)
         return;
     _failedPeers.insert(peer);
+    _sessionRestarted[peer] = false;
     if (auto *t = eventQueue().tracer()) {
         t->instant(curTick(), name(), "kernel", "peerDied",
                    {trace::arg("peer",
@@ -558,21 +602,18 @@ Kernel::peerRecovered(NodeId peer)
     }
     // User mappings toward the peer died with it; the application
     // must re-map. Kernel channel and NX wiring are permanent boot
-    // state, so heal those halves in place and restart both protocol
-    // engines from sequence zero to match the peer's fresh state.
+    // state, so heal those halves in place.
     _mapManager->purgeOutTo(peer);
-    _mapManager->resetPeer(peer);
     _ni.healMappingsToward(peer);
-    _ni.resetChannel(peer);
-    if (peer < _channelIn.size() && _channelIn[peer] != INVALID_PAGE) {
-        // Stale seq words in the channel-in page would replay old
-        // RPCs against the reset engine.
-        std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
-        _mem.write(pageBase(_channelIn[peer]), zeros.data(),
-                   PAGE_SIZE);
+    // A peer that restarted, or ended the session itself, since we
+    // declared it dead already runs the next session with us
+    // (peerEpochChanged, peerRestartedStream). One that did neither --
+    // it was cut off from us -- still runs the session we declared
+    // over: end it, fencing what it sent before it learns.
+    if (!_sessionRestarted[peer]) {
+        _ni.restartStream(peer, true);
+        resetSession(peer);
     }
-    if (_dsm)
-        _dsm->peerRecovered(peer);
 }
 
 void

@@ -226,6 +226,23 @@ class Kernel : public SimObject, public TrapHandler
     void peerEpochChanged(NodeId peer, std::uint32_t inc);
 
     /**
+     * @p peer restarted its reliability stream to us (the NI's epoch
+     * gate saw its restart count rise). If that ended the session and
+     * we had not ended it ourselves, follow: restart our stream to it,
+     * drop the mappings between us, as the peer did, and the rest of
+     * our side of the session (resetSession).
+     */
+    void peerRestartedStream(NodeId peer, bool ended, bool was_fenced);
+
+    /**
+     * Drop our side of the session with @p peer once our stream to it
+     * has restarted: in-flight RPCs toward it fail with
+     * err::STALE_EPOCH, its RPC channel page is cleared, and the DSM
+     * drops copies it granted and grants it held.
+     */
+    void resetSession(NodeId peer);
+
+    /**
      * Peer @p peer is dead (heartbeat timeout or retransmit-cap
      * evidence): error every NIPT mapping half toward it, abort
      * in-flight deliberate DMA targeting it, drop its incoming
@@ -235,10 +252,12 @@ class Kernel : public SimObject, public TrapHandler
     void peerDied(NodeId peer);
 
     /**
-     * A DEAD peer spoke again: clear its failed status, reset the
-     * reliability channel and RPC sequence state, heal kernel channel
-     * and NX wiring toward it, and drop errored user mappings so the
-     * application can re-map explicitly.
+     * A DEAD peer spoke again: clear its failed status, heal kernel
+     * channel and NX wiring toward it, and drop errored user mappings
+     * so the application can re-map explicitly. Unless the peer
+     * restarted or ended the session since it died, end the session:
+     * a fenced restartStream, which the peer follows, then
+     * resetSession.
      */
     void peerRecovered(NodeId peer);
 
@@ -492,6 +511,9 @@ class Kernel : public SimObject, public TrapHandler
 
     /** Peers declared unreachable by the NI reliability layer. */
     std::set<NodeId> _failedPeers;
+    /** Per peer: our session with it restarted after it was last
+     *  declared dead (it restarted, or it ended the session). */
+    std::vector<bool> _sessionRestarted;
 };
 
 } // namespace shrimp

@@ -103,7 +103,6 @@ TEST(Overload, AdmissionRejectsSendsTowardSuspectPeer)
     SystemConfig cfg = test::twoNodeConfig();
     cfg.ni.reliability.enabled = true;
     cfg.health.enabled = true;
-    cfg.router.faultTolerant = true;    // dead links drop, not wedge
     cfg.admission.enabled = true;
     ShrimpSystem sys(cfg);
 
@@ -117,8 +116,8 @@ TEST(Overload, AdmissionRejectsSendsTowardSuspectPeer)
 
     sys.eventQueue().scheduleFn(
         [&sys]() {
-            sys.backplane().router(0).setLinkDead(Router::EAST, true);
-            sys.backplane().router(1).setLinkDead(Router::WEST, true);
+            sys.backplane().router(0).forceLinkDown(Router::EAST);
+            sys.backplane().router(1).forceLinkDown(Router::WEST);
         },
         ONE_MS, EventPriority::DEFAULT, "partition");
 
@@ -135,8 +134,8 @@ TEST(Overload, AdmissionRejectsSendsTowardSuspectPeer)
     EXPECT_GE(sys.kernel(0).sendsRejected(), 1u);
 
     // Heal; heartbeats resume; admission must reopen.
-    sys.backplane().router(0).setLinkDead(Router::EAST, false);
-    sys.backplane().router(1).setLinkDead(Router::WEST, false);
+    sys.backplane().router(0).forceLinkUp(Router::EAST);
+    sys.backplane().router(1).forceLinkUp(Router::WEST);
     sys.runFor(5 * ONE_MS);
     ASSERT_EQ(sys.kernel(0).health()->peerState(1), PeerHealth::ALIVE);
     EXPECT_EQ(sys.kernel(0).mapDirect(*a, src + PAGE_SIZE, 1,

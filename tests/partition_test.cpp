@@ -1,10 +1,12 @@
 /**
  * @file
  * Partition tolerance (DESIGN.md section 14): quorum-gated death on
- * the minority side, epoch-bumped reintegration after a heal, the
- * stale-writeback fence with exactly-once re-homing, owner restart
- * racing the recall RTO, the FaultModel's asymmetric forced-outage
- * window, and route-around budget exhaustion across a full cut-set.
+ * the minority side, reintegration after a heal without new lives,
+ * session ends when both sides declared each other dead or one side
+ * restarted, the stale-writeback fence with exactly-once re-homing,
+ * owner restart racing the recall RTO, the FaultModel's asymmetric
+ * forced-outage window, and a full cut-set on the oblivious mesh
+ * killing traffic at the wire.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +28,6 @@ partitionConfig(unsigned width, unsigned height, bool dsm)
     cfg.meshWidth = width;
     cfg.meshHeight = height;
     cfg.ni.reliability.enabled = true;
-    cfg.router.faultTolerant = true;
     cfg.health.enabled = true;
     cfg.health.heartbeatPeriod = 50 * ONE_US;
     cfg.health.suspectTimeout = 200 * ONE_US;
@@ -49,7 +50,10 @@ totalStaleEpochRejects(ShrimpSystem &sys)
 
 TEST(Partition, MinorityStallsWithoutQuorum)
 {
-    ShrimpSystem sys(partitionConfig(2, 2, false));
+    // A 4x1 row: node 3 is an end, so no dimension-order route between
+    // the other three crosses it and the majority stays connected. (In
+    // a 2x2, the route 2 -> 1 turns at node 3 and would be cut too.)
+    ShrimpSystem sys(partitionConfig(4, 1, false));
     sys.runFor(ONE_MS);
 
     // Strand node 3 alone: 1 of 4 can never reach a strict majority.
@@ -73,10 +77,64 @@ TEST(Partition, MinorityStallsWithoutQuorum)
         EXPECT_EQ(h3->peerState(peer), PeerHealth::SUSPECT);
 }
 
-TEST(Partition, HealReintegratesAndBumpsEpochs)
+/**
+ * Store @p words distinct values from @p src_node's page at @p src to
+ * @p dst_node's page at @p dst, mapping the pair first, one store
+ * every @p gap.
+ */
+void
+mapAndStore(ShrimpSystem &sys, NodeId src_node, Process &src,
+            Addr src_va, NodeId dst_node, Process &dst, Addr dst_va,
+            unsigned words, std::uint32_t base, Tick gap = ONE_US)
+{
+    ASSERT_EQ(sys.kernel(src_node).mapDirect(src, src_va, 1,
+                                             sys.kernel(dst_node), dst,
+                                             dst_va,
+                                             UpdateMode::AUTO_SINGLE),
+              err::OK);
+    Translation t = src.space().translate(src_va, true);
+    ASSERT_TRUE(t.ok());
+    for (unsigned i = 0; i < words; ++i) {
+        std::uint32_t value = base + i;
+        sys.node(src_node).bus.postWrite(t.paddr + 4 * i, &value, 4,
+                                         BusMaster::CPU, sys.curTick());
+        sys.runFor(gap);
+    }
+}
+
+/** Does @p dst_node's page at @p dst_va hold base .. base+words-1? */
+void
+expectWords(ShrimpSystem &sys, NodeId dst_node, Process &dst,
+            Addr dst_va, unsigned words, std::uint32_t base)
+{
+    Translation t = dst.space().translate(dst_va, false);
+    ASSERT_TRUE(t.ok());
+    for (unsigned i = 0; i < words; ++i) {
+        EXPECT_EQ(sys.node(dst_node).mem.readInt(t.paddr + 4 * i, 4),
+                  base + i)
+            << "node " << dst_node << " word " << i;
+    }
+}
+
+TEST(Partition, HealReintegratesWithoutNewLives)
 {
     ShrimpSystem sys(partitionConfig(2, 2, false));
+    std::vector<Process *> procs;
+    for (NodeId id = 0; id < sys.numNodes(); ++id)
+        procs.push_back(sys.kernel(id).createProcess("p"));
+    // Pages 0 and 1 send and receive before the cut, 2 and 3 after.
+    Addr a = procs[0]->allocate(4), b = procs[3]->allocate(4);
+
+    // Live streams in both directions across the future cut.
+    constexpr unsigned kWords = 64;
+    mapAndStore(sys, 0, *procs[0], a, 3, *procs[3], b + PAGE_SIZE,
+                kWords, 0x0A000000u);
+    mapAndStore(sys, 3, *procs[3], b, 0, *procs[0], a + PAGE_SIZE,
+                kWords, 0x3A000000u);
     sys.runFor(ONE_MS);
+    expectWords(sys, 3, *procs[3], b + PAGE_SIZE, kWords, 0x0A000000u);
+    expectWords(sys, 0, *procs[0], a + PAGE_SIZE, kWords, 0x3A000000u);
+
     sys.partition({3}, {0, 1, 2});
     sys.runFor(2 * ONE_MS);
     ASSERT_EQ(sys.kernel(0).health()->peerState(3), PeerHealth::DEAD);
@@ -85,25 +143,102 @@ TEST(Partition, HealReintegratesAndBumpsEpochs)
     EXPECT_FALSE(sys.partitioned());
     sys.runFor(3 * ONE_MS);
 
-    // Everyone sees everyone ALIVE again...
-    for (NodeId a = 0; a < sys.numNodes(); ++a) {
-        for (NodeId b = 0; b < sys.numNodes(); ++b) {
-            if (a != b) {
-                EXPECT_EQ(sys.kernel(a).health()->peerState(b),
+    // Everyone sees everyone ALIVE again, and nobody started a new
+    // life: only a node's own restart does that.
+    for (NodeId a_id = 0; a_id < sys.numNodes(); ++a_id) {
+        EXPECT_EQ(sys.kernel(a_id).health()->selfIncarnation(), 1u)
+            << "node " << a_id;
+        for (NodeId b_id = 0; b_id < sys.numNodes(); ++b_id) {
+            if (a_id != b_id) {
+                EXPECT_EQ(sys.kernel(a_id).health()->peerState(b_id),
                           PeerHealth::ALIVE)
-                    << a << " -> " << b;
+                    << a_id << " -> " << b_id;
             }
         }
     }
-    // ...and reintegration went through new lives on both sides: the
-    // majority bumped when the minority spoke again, the minority
-    // bumped when its quorum stall cleared, and the bump exchange
-    // fenced at least one straggler machine-wide.
-    for (NodeId id = 0; id < sys.numNodes(); ++id) {
-        EXPECT_GT(sys.kernel(id).health()->selfIncarnation(), 1u)
-            << "node " << id << " never started a new life";
+
+    // The majority dropped its mappings toward the node it declared
+    // dead; a re-map across the healed cut converges exactly in both
+    // directions.
+    mapAndStore(sys, 0, *procs[0], a + 2 * PAGE_SIZE, 3, *procs[3],
+                b + 3 * PAGE_SIZE, kWords, 0x0B000000u);
+    mapAndStore(sys, 3, *procs[3], b + 2 * PAGE_SIZE, 0, *procs[0],
+                a + 3 * PAGE_SIZE, kWords, 0x3B000000u);
+    sys.runFor(3 * ONE_MS);
+    expectWords(sys, 3, *procs[3], b + 3 * PAGE_SIZE, kWords,
+                0x0B000000u);
+    expectWords(sys, 0, *procs[0], a + 3 * PAGE_SIZE, kWords,
+                0x3B000000u);
+}
+
+TEST(Partition, MutualDeathHealsBothWays)
+{
+    // Two nodes that each declare the other DEAD recover each other
+    // one at a time: a short restart of node 1 shifts its heartbeat
+    // phase, so after the heal one side ends the session first and
+    // the other, still holding it DEAD, sees that end before its own
+    // recovery. That recovery must follow the end, not end (and
+    // fence) the session the first side just started.
+    ShrimpSystem sys(partitionConfig(2, 1, false));
+    Process *p0 = sys.kernel(0).createProcess("p0");
+    Process *p1 = sys.kernel(1).createProcess("p1");
+    Addr a = p0->allocate(2), b = p1->allocate(2);
+    sys.runFor(ONE_MS);
+    sys.crashNode(1);
+    sys.runFor(120 * ONE_US);
+    sys.restartNode(1);
+    sys.runFor(ONE_MS);
+
+    sys.partition({1}, {0});
+    sys.runFor(2 * ONE_MS);
+    ASSERT_EQ(sys.kernel(0).health()->peerState(1), PeerHealth::DEAD);
+    ASSERT_EQ(sys.kernel(1).health()->peerState(0), PeerHealth::DEAD);
+
+    sys.heal();
+    sys.runFor(ONE_MS);
+    // Recovered for good, not cycling back through DEAD.
+    for (unsigned step = 0; step < 16; ++step) {
+        sys.runFor(250 * ONE_US);
+        EXPECT_EQ(sys.kernel(0).health()->peerState(1), PeerHealth::ALIVE)
+            << "step " << step;
+        EXPECT_EQ(sys.kernel(1).health()->peerState(0), PeerHealth::ALIVE)
+            << "step " << step;
     }
-    EXPECT_GT(totalStaleEpochRejects(sys), 0u);
+
+    constexpr unsigned kWords = 64;
+    mapAndStore(sys, 0, *p0, a, 1, *p1, b + PAGE_SIZE, kWords,
+                0x01000000u);
+    mapAndStore(sys, 1, *p1, b, 0, *p0, a + PAGE_SIZE, kWords,
+                0x10000000u);
+    sys.runFor(2 * ONE_MS);
+    expectWords(sys, 1, *p1, b + PAGE_SIZE, kWords, 0x01000000u);
+    expectWords(sys, 0, *p0, a + PAGE_SIZE, kWords, 0x10000000u);
+}
+
+TEST(Partition, RestartedNodeKeepsItsFirstMappings)
+{
+    // A survivor follows a peer's new life with a restart of its own
+    // stream to it. The new life must not read that restart as the
+    // end of its session: if it did, it would purge the mappings it
+    // has just made and drop the stores still in its window.
+    ShrimpSystem sys(partitionConfig(2, 1, false));
+    Process *p0 = sys.kernel(0).createProcess("p0");
+    Process *p1 = sys.kernel(1).createProcess("p1");
+    Addr a = p0->allocate(1), b = p1->allocate(1);
+    sys.runFor(ONE_MS);
+    sys.crashNode(1);
+    sys.runFor(100 * ONE_US);
+    sys.restartNode(1);
+    sys.runFor(10 * ONE_US);
+
+    // Store across the time node 0 learns of node 1's new life.
+    constexpr unsigned kWords = 64;
+    mapAndStore(sys, 1, *p1, b, 0, *p0, a, kWords, 0x1E000000u,
+                10 * ONE_US);
+    sys.runFor(ONE_MS);
+    expectWords(sys, 0, *p0, a, kWords, 0x1E000000u);
+    EXPECT_EQ(sys.kernel(0).health()->peersDeclaredDead(), 0u);
+    EXPECT_GT(sys.kernel(1).health()->selfIncarnation(), 1u);
 }
 
 TEST(Partition, StaleWritebackFencedAndRehomedOnce)
@@ -154,9 +289,9 @@ TEST(Partition, StaleWritebackFencedAndRehomedOnce)
 
     // Restore the direction before the owner's retry budget dies. Its
     // queued writeback retransmits into the healed link, but the
-    // majority has moved on: the recovery bumps incarnations, the
-    // grant from the owner's old life is void, and the page re-homes
-    // exactly once.
+    // majority has moved on: the recovery ends the home's session with
+    // the owner, the stream carrying the old session's writeback is
+    // fenced, and the page re-homes exactly once.
     sys.backplane().router(2).forceLinkUp(out);
     sys.runFor(3 * ONE_MS);
 
@@ -269,22 +404,21 @@ TEST(FaultModelTest, AsymmetricForcedWindowAndRuntimeForce)
     // Runtime force: down until forced up, reverse side untouched.
     a.forceDown(300 * ONE_US);
     EXPECT_EQ(a.decide(5 * ONE_MS), FaultModel::Action::LINK_DOWN);
-    EXPECT_TRUE(a.downLongerThan(ONE_MS, 500 * ONE_US));
+    EXPECT_TRUE(a.linkDown(ONE_MS));
     a.forceUp(5 * ONE_MS);
     EXPECT_EQ(a.decide(5 * ONE_MS + 1), FaultModel::Action::PASS);
     EXPECT_EQ(b.decide(5 * ONE_MS), FaultModel::Action::PASS);
 }
 
-TEST(RouterPartition, FullCutSetExhaustsMisrouteBudgetIntoDrops)
+TEST(RouterPartition, FullCutSetDropsAtTheWire)
 {
-    // A fault-tolerant mesh with a wall of advertised-dead links has
-    // no path into the east column: every packet burns its misroute
-    // budget wandering and must land in routeAroundDrops -- never a
+    // A wall of cut links seals off the east column. Dimension-order
+    // routing never looks for a way around: every packet sent into
+    // the wall dies on the downed wire as a linkDownDrop -- never a
     // silent re-queue that wedges the mesh.
     SystemConfig cfg;
     cfg.meshWidth = 3;
     cfg.meshHeight = 3;
-    cfg.router.faultTolerant = true;
     ShrimpSystem sys(cfg);
 
     Process *a = sys.kernel(0).createProcess("a");
@@ -300,7 +434,7 @@ TEST(RouterPartition, FullCutSetExhaustsMisrouteBudgetIntoDrops)
     auto dropsNow = [&sys] {
         std::uint64_t total = 0;
         for (NodeId id = 0; id < sys.numNodes(); ++id)
-            total += sys.backplane().router(id).routeAroundDrops();
+            total += sys.backplane().router(id).linkDownDrops();
         return total;
     };
     const std::uint64_t before = dropsNow();
@@ -316,8 +450,8 @@ TEST(RouterPartition, FullCutSetExhaustsMisrouteBudgetIntoDrops)
     }
     sys.runFor(2 * ONE_MS);
 
-    // Exact landing: every packet sent surfaced as a route-around
-    // drop, and nothing is parked in any router queue.
+    // Exact landing: every packet sent surfaced as a link-down drop,
+    // and nothing is parked in any router queue.
     EXPECT_EQ(dropsNow() - before, kPackets);
     for (NodeId id = 0; id < sys.numNodes(); ++id) {
         EXPECT_EQ(sys.backplane().router(id).queuedPackets(), 0u)

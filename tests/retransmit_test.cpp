@@ -371,7 +371,6 @@ TEST(Retransmit, AckNackRideOutLinkOutageTraced)
     SystemConfig cfg = test::twoNodeConfig();
     cfg.ni.reliability.enabled = true;
     cfg.ni.reliability.rtoBase = 20 * ONE_US;
-    cfg.router.faultTolerant = true;    // dead links drop, not wedge
     cfg.traceEnabled = true;
     ShrimpSystem sys(cfg);
     EventQueue &eq = sys.eventQueue();
@@ -403,12 +402,12 @@ TEST(Retransmit, AckNackRideOutLinkOutageTraced)
     // Both directions die at 50us and recover at 400us: data packets
     // and the ACK/NACK flow are interrupted mid-exchange.
     eq.scheduleFn([&sys]() {
-        sys.backplane().router(0).setLinkDead(Router::EAST, true);
-        sys.backplane().router(1).setLinkDead(Router::WEST, true);
+        sys.backplane().router(0).forceLinkDown(Router::EAST);
+        sys.backplane().router(1).forceLinkDown(Router::WEST);
     }, 50 * ONE_US, EventPriority::DEFAULT, "link down");
     eq.scheduleFn([&sys]() {
-        sys.backplane().router(0).setLinkDead(Router::EAST, false);
-        sys.backplane().router(1).setLinkDead(Router::WEST, false);
+        sys.backplane().router(0).forceLinkUp(Router::EAST);
+        sys.backplane().router(1).forceLinkUp(Router::WEST);
     }, 400 * ONE_US, EventPriority::DEFAULT, "link up");
 
     sys.runFor(10 * ONE_MS);

@@ -257,7 +257,7 @@ if [ "$run_partition" = 1 ]; then
         --target partition_test bench_partition shrimp_explore \
         shrimp_validate
 
-    # Membership, fencing, and route-around unit suites, sanitized.
+    # Membership, fencing, and wire-cut unit suites, sanitized.
     cd "$asan_build"
     ASAN_OPTIONS=detect_leaks=1 \
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \

@@ -248,8 +248,8 @@ cmdChaos(int argc, char **argv)
     std::printf("  peers died/recov.  : %llu / %llu\n",
                 static_cast<unsigned long long>(r.peersDeclaredDead),
                 static_cast<unsigned long long>(r.peersRecovered));
-    std::printf("  misroutes          : %llu\n",
-                static_cast<unsigned long long>(r.misroutes));
+    std::printf("  link-down drops    : %llu\n",
+                static_cast<unsigned long long>(r.linkDownDrops));
     std::printf("  retransmits        : %llu\n",
                 static_cast<unsigned long long>(r.retransmits));
     std::printf("  overload bursts    : %llu\n",
@@ -320,8 +320,7 @@ cmdChaos(int argc, char **argv)
         field("heartbeatsSent", r.heartbeatsSent);
         field("peersDeclaredDead", r.peersDeclaredDead);
         field("peersRecovered", r.peersRecovered);
-        field("misroutes", r.misroutes);
-        field("routeAroundDrops", r.routeAroundDrops);
+        field("linkDownDrops", r.linkDownDrops);
         field("retransmits", r.retransmits);
         field("overloadBurstsInjected", r.overloadBurstsInjected);
         field("sendsRejected", r.sendsRejected);

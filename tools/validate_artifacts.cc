@@ -193,7 +193,7 @@ validateChaos(const std::string &file, const Value &root)
     for (const char *key :
          {"writesIssued", "crashesInjected", "linkFlapsInjected",
           "heartbeatsSent", "peersDeclaredDead", "peersRecovered",
-          "misroutes", "routeAroundDrops", "retransmits",
+          "linkDownDrops", "retransmits",
           "overloadBurstsInjected", "sendsRejected", "ecnMarksSeen",
           "ecnEchoesSent", "pacedRetransmits", "watchdogStalls",
           "pairsVerifiedExact", "dsmOpsIssued", "dsmOpsHostdown",
