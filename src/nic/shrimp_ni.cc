@@ -295,9 +295,15 @@ ShrimpNi::emitPacket(NodeId dst, Addr dst_addr,
     // (a stream restart drops it instead), and a pre-assigned stamp
     // would enter the fresh window as an orphan of the previous life
     // -- a sequence the receiver (resynchronized to expect 0) can
-    // never ACK. tryInject() stamps and re-seals at the moment the
-    // packet actually enters the retransmit window.
-    pkt.sealCrc();
+    // never ACK. tryInject() stamps it at the moment the packet
+    // actually enters the retransmit window.
+    //
+    // Each packet is sealed once, when its wire image is final: legacy
+    // (reliability-off) packets here, reliable DATA in tryInject() at
+    // window entry, control packets in makeControl(). Nothing reads
+    // the CRC before then.
+    if (!pkt.reliable)
+        pkt.sealCrc();
     pkt.injectedAt = curTick();
     pkt.seq = _nextSeq++;
 

@@ -351,7 +351,7 @@ class ShrimpNi : public SimObject,
 
     bool isDram(Addr paddr) const { return paddr < _mem.size(); }
 
-    /** Build, seal and queue a packet. */
+    /** Build and queue a packet; legacy packets are sealed here. */
     void emitPacket(NodeId dst, Addr dst_addr,
                     std::vector<std::uint8_t> &&payload, Tick ready);
 

@@ -435,6 +435,144 @@ TEST(Retransmit, AckNackRideOutLinkOutageTraced)
     EXPECT_NE(trace.find("ackSend"), std::string::npos);
 }
 
+/** What a tapped router handed to its node's NI. */
+struct Arrival
+{
+    bool reliable;
+    NetPacket::Kind kind;
+    std::uint64_t rseq;
+    bool crcOk;
+};
+
+/** Records every packet a router ejects, then passes it to the NI. */
+class SinkTap : public NetworkSink
+{
+  public:
+    SinkTap(ShrimpSystem &sys, NodeId node) : _ni(sys.node(node).ni)
+    {
+        sys.backplane().router(node).setSink(this);
+    }
+
+    bool sinkReady() const override { return _ni.sinkReady(); }
+
+    void
+    sinkDeliver(NetPacket &&pkt) override
+    {
+        seen.push_back({pkt.reliable, pkt.kind, pkt.rseq, pkt.crcOk()});
+        _ni.sinkDeliver(std::move(pkt));
+    }
+
+    std::vector<Arrival> seen;
+
+  private:
+    ShrimpNi &_ni;
+};
+
+/** Host store of @p value to node 0's physical @p paddr at @p at. */
+void
+storeAt(ShrimpSystem &sys, Addr paddr, std::uint32_t value, Tick at)
+{
+    sys.eventQueue().scheduleFn(
+        [&sys, paddr, value]() {
+            sys.node(0).bus.postWrite(paddr, &value, 4, BusMaster::CPU,
+                                      sys.curTick());
+        },
+        at, EventPriority::DEFAULT, "store");
+}
+
+/** Map one AUTO_SINGLE page 0 -> 1; @return its physical source. */
+Addr
+mapOnePage(ShrimpSystem &sys)
+{
+    Process *a = sys.kernel(0).createProcess("a");
+    Process *b = sys.kernel(1).createProcess("b");
+    Addr src = a->allocate(1);
+    Addr dst = b->allocate(1);
+    sys.kernel(0).mapDirect(*a, src, 1, sys.kernel(1), *b, dst,
+                            UpdateMode::AUTO_SINGLE);
+    Translation t = a->space().translate(src, true);
+    EXPECT_TRUE(t.ok());
+    return t.paddr;
+}
+
+TEST(SealOnce, ReliableDataRetransmitAndAckArriveWithGoodCrc)
+{
+    // Each packet is sealed once, when its wire image is final: DATA
+    // at window entry, ACKs when built. The first store dies on a dead
+    // link, so its only arrival is the retransmitted copy.
+    SystemConfig cfg = test::twoNodeConfig();
+    cfg.ni.reliability.enabled = true;
+    cfg.ni.reliability.rtoBase = 20 * ONE_US;
+    ShrimpSystem sys(cfg);
+    Addr src = mapOnePage(sys);
+    SinkTap at0(sys, 0), at1(sys, 1);
+
+    sys.eventQueue().scheduleFn(
+        [&sys]() { sys.backplane().router(0).forceLinkDown(Router::EAST); },
+        5 * ONE_US, EventPriority::DEFAULT, "link down");
+    storeAt(sys, src, 0xA0, 10 * ONE_US);
+    sys.eventQueue().scheduleFn(
+        [&sys]() { sys.backplane().router(0).forceLinkUp(Router::EAST); },
+        15 * ONE_US, EventPriority::DEFAULT, "link up");
+    storeAt(sys, src + 4, 0xA1, 200 * ONE_US);
+    sys.runFor(ONE_MS);
+
+    EXPECT_GE(sys.node(0).ni.retransmitBuffer().timeoutRetransmits(), 1u);
+    EXPECT_EQ(sys.node(0).ni.dropsCrc(), 0u);
+    EXPECT_EQ(sys.node(1).ni.dropsCrc(), 0u);
+
+    auto count = [](const std::vector<Arrival> &seen, NetPacket::Kind kind,
+                    std::uint64_t rseq) {
+        return std::count_if(seen.begin(), seen.end(),
+                             [&](const Arrival &a) {
+                                 return a.reliable && a.kind == kind &&
+                                        a.rseq == rseq;
+                             });
+    };
+    EXPECT_GE(count(at1.seen, NetPacket::Kind::DATA, 0), 1)
+        << "the retransmitted copy never arrived";
+    EXPECT_GE(count(at1.seen, NetPacket::Kind::DATA, 1), 1)
+        << "the fresh DATA packet never arrived";
+    EXPECT_GE(count(at0.seen, NetPacket::Kind::ACK, 2), 1)
+        << "no ACK covering both stores came back";
+    for (const auto *tap : {&at0, &at1}) {
+        for (const Arrival &a : tap->seen)
+            EXPECT_TRUE(a.crcOk) << "rseq " << a.rseq;
+    }
+}
+
+TEST(SealOnce, LegacyPacketArrivesWithGoodCrc)
+{
+    ShrimpSystem sys(test::twoNodeConfig());
+    Addr src = mapOnePage(sys);
+    SinkTap at1(sys, 1);
+
+    storeAt(sys, src, 0xB0, 10 * ONE_US);
+    sys.runFor(ONE_MS);
+
+    ASSERT_EQ(at1.seen.size(), 1u);
+    EXPECT_FALSE(at1.seen[0].reliable);
+    EXPECT_TRUE(at1.seen[0].crcOk);
+    EXPECT_EQ(sys.node(1).ni.dropsCrc(), 0u);
+    EXPECT_EQ(sys.node(1).ni.packetsDelivered(), 1u);
+}
+
+TEST(SealOnce, CorruptHookStillCostsExactlyOneCrcDropAndOneNack)
+{
+    SystemConfig cfg = test::twoNodeConfig();
+    cfg.ni.reliability.enabled = true;
+    ShrimpSystem sys(cfg);
+    Addr src = mapOnePage(sys);
+
+    sys.node(0).ni.corruptNextPacket();
+    storeAt(sys, src, 0xC0, 10 * ONE_US);
+    sys.runFor(ONE_MS);
+
+    EXPECT_EQ(sys.node(1).ni.dropsCrc(), 1u);
+    EXPECT_EQ(sys.node(1).ni.nacksSent(), 1u);
+    EXPECT_EQ(sys.node(1).ni.packetsDelivered(), 1u);
+}
+
 // ---- standalone RetransmitBuffer unit tests ------------------------
 // The congestion-control machinery (AIMD window, retransmit pacer,
 // seeded rto jitter, receiver-regression detection) is simplest to pin

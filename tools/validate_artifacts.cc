@@ -11,6 +11,7 @@
  *   shrimp_validate overload FILE...  BENCH_overload.json + collapse gate
  *   shrimp_validate dsm FILE...       BENCH_dsm.json + latency/progress gates
  *   shrimp_validate partition FILE... BENCH_partition.json + recovery gates
+ *   shrimp_validate simcore FILE...   BENCH_simcore.json host-speed trajectory
  *
  * Exit status 0 iff every file parses and conforms.
  */
@@ -365,6 +366,90 @@ validatePartition(const std::string &file, const Value &root)
         return fail(file, "no Partition results");
 }
 
+/** A 16-hex-digit fingerprint string. */
+bool
+isFingerprint(const Value &v)
+{
+    return v.isString() && v.str.size() == 16 &&
+           v.str.find_first_not_of("0123456789abcdef") == std::string::npos;
+}
+
+/**
+ * BENCH_simcore.json: the simulator's host-speed trajectory, one row
+ * per host-cost change. Each row maps a workload name to its host time
+ * in seconds and its same-seed fingerprints. A host-speed change must
+ * not change behaviour, so every row must carry the first row's
+ * workloads with byte-identical fingerprints. And no workload may run
+ * more than 2x slower than in the row before: loose enough to survive
+ * co-tenant noise, tight enough to catch an accidental quadratic.
+ */
+void
+validateSimcore(const std::string &file, const Value &root)
+{
+    if (!root.isObject())
+        return fail(file, "simcore root is not an object");
+    const Value *ver = root.find("schema_version");
+    if (!ver || !ver->isNumber() || ver->number != 1)
+        return fail(file, "schema_version != 1");
+    const Value *rows = root.find("rows");
+    if (!rows || !rows->isArray() || rows->arr.empty())
+        return fail(file, "missing or empty rows array");
+    for (std::size_t i = 0; i < rows->arr.size(); ++i) {
+        const Value &row = rows->arr[i];
+        std::string where = "rows[" + std::to_string(i) + "]";
+        const Value *label = row.find("label");
+        const Value *workloads = row.find("workloads");
+        if (!label || !label->isString() || label->str.empty())
+            return fail(file, where + " has no label");
+        if (!workloads || !workloads->isObject() ||
+            workloads->obj.empty())
+            return fail(file, where + " has no workloads object");
+        for (const auto &[name, w] : workloads->obj) {
+            std::string at = where + " " + name;
+            const Value *secs = w.find("seconds");
+            const Value *fps = w.find("fingerprints");
+            if (!secs || !secs->isNumber() || secs->number <= 0.0)
+                return fail(file, at + " has no positive seconds");
+            if (!fps || !fps->isObject() || fps->obj.empty())
+                return fail(file, at + " has no fingerprints object");
+            for (const auto &[seed, fp] : fps->obj) {
+                if (!isFingerprint(fp))
+                    return fail(file, at + " fingerprint " + seed +
+                                          " is not 16 hex chars");
+            }
+        }
+        if (i == 0)
+            continue;
+        const Value &first = *rows->arr[0].find("workloads");
+        const Value &prev = *rows->arr[i - 1].find("workloads");
+        for (const auto &[name, ref] : first.obj) {
+            const Value *w = workloads->find(name);
+            if (!w)
+                return fail(file, where + " dropped workload " + name);
+            for (const auto &[seed, fp] : ref.find("fingerprints")->obj) {
+                const Value *got = w->find("fingerprints")->find(seed);
+                if (!got || got->str != fp.str) {
+                    return fail(file, where + " " + name + " " + seed +
+                                          " fingerprint drifted from " +
+                                          fp.str);
+                }
+            }
+        }
+        for (const auto &[name, w] : workloads->obj) {
+            const Value *before = prev.find(name);
+            if (!before)
+                continue;
+            double was = before->find("seconds")->number;
+            double now = w.find("seconds")->number;
+            if (now > 2.0 * was) {
+                return fail(file, where + " " + name + " took " +
+                                      std::to_string(now) + " s, over 2x " +
+                                      std::to_string(was) + " s");
+            }
+        }
+    }
+}
+
 /** Every mode: its name on the command line and its validator. */
 struct Mode
 {
@@ -380,6 +465,7 @@ constexpr Mode modes[] = {
     {"overload", validateOverload},
     {"dsm", validateDsm},
     {"partition", validatePartition},
+    {"simcore", validateSimcore},
 };
 
 } // namespace
